@@ -5,7 +5,7 @@
 //! Both run once per coordination round, so they must stay far below the
 //! round length even at cluster scale (~1024 children).
 
-use cluster::{split_caps, split_caps_critical, CapSplit, ServerDemand};
+use cluster::{split_caps, CapSplit, ServerDemand, TreeSignals};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use topology::TraceCollector;
@@ -62,30 +62,26 @@ fn bench_splits(c: &mut Criterion) {
     let n = 1024;
     let ds = demands(n);
     let sh = shares(n);
-    let floors: Vec<f64> = ds.iter().map(|d| d.min_w).collect();
     let budget_w = ds.iter().map(|d| d.demand_w).sum::<f64>() * 0.7;
+    // A 10% tier floor sits below every child's power floor, so the
+    // explicit floors resolve to the children's all-minimum power.
+    let warm = TreeSignals {
+        crit: Some(&sh),
+        tier_floor_frac: 0.1,
+        ..TreeSignals::default()
+    };
+    let sparse = TreeSignals { crit: None, ..warm };
+    let split = |s: CapSplit, signals: &TreeSignals<'_>| {
+        split_caps(s, black_box(budget_w), &ds, signals, 1.0).expect("feasible floors")
+    };
     group.bench_function("critical_path_warm", |b| {
-        b.iter(|| {
-            black_box(split_caps_critical(
-                black_box(budget_w),
-                &ds,
-                Some(&sh),
-                Some(&floors),
-            ))
-        })
+        b.iter(|| black_box(split(CapSplit::CriticalPath, &warm)))
     });
     group.bench_function("critical_path_sparse", |b| {
-        b.iter(|| {
-            black_box(split_caps_critical(
-                black_box(budget_w),
-                &ds,
-                None,
-                Some(&floors),
-            ))
-        })
+        b.iter(|| black_box(split(CapSplit::CriticalPath, &sparse)))
     });
     group.bench_function("fastcap", |b| {
-        b.iter(|| black_box(split_caps(CapSplit::FastCap, black_box(budget_w), &ds, 1.0)))
+        b.iter(|| black_box(split(CapSplit::FastCap, &TreeSignals::default())))
     });
     group.finish();
 }

@@ -25,9 +25,9 @@ pub enum CapSplit {
     /// for budget first (up to their full demand), servers comfortably
     /// meeting it are trimmed below their demand in proportion to their
     /// latency headroom, and granting within each tier is FastCap-style.
-    /// Requires per-server [`SlaSignal`](crate::coordinator::SlaSignal)s
-    /// (see [`split_caps_sla`](crate::coordinator::split_caps_sla));
-    /// without them it degrades to plain FastCap.
+    /// Reads per-server [`SlaSignal`](crate::coordinator::SlaSignal)s
+    /// from [`TreeSignals::sla`](crate::TreeSignals::sla); without them it
+    /// degrades to FastCap granting with leftover left unspent.
     SlaAware,
     /// Critical-path aware splitting for groups of service tiers: budget
     /// shifts toward the child with the largest share of end-to-end

@@ -1,7 +1,8 @@
 //! The cluster-level coordinator: turns one global power budget into
 //! per-server caps, once per coordination round.
 //!
-//! Three disciplines are implemented (see [`CapSplit`]):
+//! Every split goes through one discipline dispatch, [`split_caps`], which
+//! implements five disciplines (see [`CapSplit`]):
 //!
 //! * **Uniform** — `C/N` each; the baseline every capping paper compares
 //!   against.
@@ -15,15 +16,22 @@
 //!   buys a big server 1% buys more instructions than 1% on a small one.
 //!   Servers far below their demand have steep curves and win quanta;
 //!   saturated servers stop bidding.
+//! * **SLA-aware** — tail-latency violators bid to full demand first.
+//! * **Critical-path** — budget shifts toward the service tier dominating
+//!   end-to-end request latency, above optional per-tier floors.
 //!
-//! All three are deterministic: ties break toward the lowest server index.
+//! The last two read per-child signals ([`TreeSignals`]) and degrade to
+//! the signal-free disciplines when their telemetry is absent. All five
+//! are deterministic: ties break toward the lowest server index.
 //!
-//! Two signal-driven disciplines build on the same machinery: **SLA-aware**
-//! (see [`split_caps_sla`]) bids tail-latency violators to full demand, and
-//! **critical-path** (see [`split_caps_critical`]) shifts budget toward the
-//! service tier dominating end-to-end request latency. Both degrade to the
-//! signal-free disciplines above when their telemetry is absent.
+//! Coordinators do not call the dispatch directly: they hold one
+//! [`FleetSplitter`], which replays an earlier split while telemetry stays
+//! inside a dead-band and routes misses to either the flat dispatch or a
+//! compiled [`HierSplitter`] for a [`BudgetTree`].
 
+use crate::engine::{CapCache, EngineKind};
+use crate::hiercache::HierSplitter;
+use crate::tree::BudgetTree;
 use crate::CapSplit;
 
 /// What the coordinator knows about one server at a round boundary.
@@ -46,24 +54,57 @@ impl ServerDemand {
     }
 }
 
-/// Splits `global_cap_w` across servers according to `split`.
+/// Optional per-child signals for the signal-aware disciplines, indexed
+/// like the demand slice they accompany (per server for a fleet-wide
+/// split, per child aggregate inside a [`BudgetTree`]). The all-`None`
+/// default selects every discipline's signal-free behaviour.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TreeSignals<'a> {
+    /// Tail-latency telemetry (read by SLA-aware splits).
+    pub sla: Option<&'a [SlaSignal]>,
+    /// Windowed critical-path share — every member of a tier carries its
+    /// tier's share (read by critical-path splits).
+    pub crit: Option<&'a [f64]>,
+    /// Per-tier floor under critical-path splits: each active child is
+    /// floored at `tier_floor_frac × budget / active children`. Zero
+    /// disables explicit floors (power floors still hold).
+    pub tier_floor_frac: f64,
+}
+
+/// Splits `global_cap_w` across `demands` according to `split` — the one
+/// discipline dispatch behind every flat and tree split.
+///
+/// Each discipline reads only the signals it declares: SLA-aware reads
+/// `signals.sla` and without it degrades to the FastCap core that leaves
+/// leftover unspent; critical-path reads `signals.crit` and turns
+/// `signals.tier_floor_frac` into per-child floors; the rest read none.
 ///
 /// The returned caps sum to at most `global_cap_w` (up to rounding in the
 /// last FastCap quantum) and are zero for inactive servers. When the
-/// budget cannot even cover every active server's floor, floors are scaled
-/// down proportionally — each server then receives an unreachable cap and
-/// degrades to its all-minimum plan (see `PowerCapPolicy`).
+/// budget cannot even cover every active server's power floor, floors are
+/// scaled down proportionally — each server then receives an unreachable
+/// cap and degrades to its all-minimum plan (see `PowerCapPolicy`).
+///
+/// # Errors
+///
+/// Fails with [`SplitError::InfeasibleFloors`] when critical-path tier
+/// floors, raised to each child's power floor, over-commit the budget.
+///
+/// # Panics
+///
+/// Panics if a present signal slice is not indexed like `demands`.
 pub fn split_caps(
     split: CapSplit,
     global_cap_w: f64,
     demands: &[ServerDemand],
+    signals: &TreeSignals<'_>,
     quantum_w: f64,
-) -> Vec<f64> {
+) -> Result<Vec<f64>, SplitError> {
     let n_active = demands.iter().filter(|d| d.active).count();
     if n_active == 0 {
-        return vec![0.0; demands.len()];
+        return Ok(vec![0.0; demands.len()]);
     }
-    match split {
+    Ok(match split {
         CapSplit::Uniform => {
             let share = global_cap_w / n_active as f64;
             demands
@@ -73,36 +114,198 @@ pub fn split_caps(
         }
         CapSplit::DemandProportional => {
             let mut caps = floors(global_cap_w, demands);
-            let used: f64 = caps.iter().sum();
-            let spare = (global_cap_w - used).max(0.0);
-            let total_headroom: f64 = demands
-                .iter()
-                .filter(|d| d.active)
-                .map(ServerDemand::headroom)
-                .sum();
-            for (cap, d) in caps.iter_mut().zip(demands) {
-                if !d.active {
-                    continue;
-                }
-                *cap += if total_headroom > 0.0 {
-                    spare * d.headroom() / total_headroom
-                } else {
-                    spare / n_active as f64
-                };
-            }
+            let spare = (global_cap_w - caps.iter().sum::<f64>()).max(0.0);
+            spread_by_headroom(&mut caps, demands, spare);
             caps
         }
-        CapSplit::FastCap => fastcap_split(global_cap_w, demands, quantum_w),
-        // Without latency signals the SLA discipline has nothing to react
-        // to; degrade to its granting core — FastCap ordering, but keeping
-        // the documented "leftover goes unspent" invariant: caps saturate
-        // at demand instead of parking surplus budget on servers.
-        CapSplit::SlaAware => fastcap_core(global_cap_w, demands, quantum_w, false, None)
-            .expect("legacy floors are always feasible"),
-        // Without trace signals the critical-path discipline degrades to
-        // demand-proportional (legacy floors cannot be infeasible).
-        CapSplit::CriticalPath => split_caps_critical(global_cap_w, demands, None, None)
-            .expect("legacy floors are always feasible"),
+        CapSplit::FastCap => fastcap_core(global_cap_w, demands, quantum_w, true),
+        CapSplit::SlaAware => match signals.sla {
+            Some(sla) => split_caps_sla(global_cap_w, demands, sla, quantum_w),
+            // Without latency signals the SLA discipline has nothing to
+            // react to; degrade to its granting core — FastCap ordering,
+            // but keeping the "leftover goes unspent" invariant: caps
+            // saturate at demand instead of parking surplus on servers.
+            None => fastcap_core(global_cap_w, demands, quantum_w, false),
+        },
+        CapSplit::CriticalPath => {
+            // Per-tier floors: an equal fraction of the budget for every
+            // active child, raised to its power floor inside the split.
+            let floor_w: Option<Vec<f64>> = (signals.tier_floor_frac > 0.0).then(|| {
+                let per = signals.tier_floor_frac * global_cap_w / n_active as f64;
+                demands
+                    .iter()
+                    .map(|d| if d.active { per } else { 0.0 })
+                    .collect()
+            });
+            split_caps_critical(global_cap_w, demands, signals.crit, floor_w.as_deref())?
+        }
+    })
+}
+
+/// [`split_caps`] without signals, restricted to the active servers: the
+/// discipline's hot loops (FastCap's per-quantum scan above all) run over
+/// a compacted active-only slice and the results scatter back to fleet
+/// positions. On a 90%-idle fleet this turns an `O(fleet)` per-quantum
+/// scan into `O(active)`.
+///
+/// Bit-identical to `split_caps` over the full slice: inactive servers take
+/// no part in any discipline's arithmetic (every sum, scan and tie-break
+/// filters on `active`, and compaction preserves relative order, so
+/// "lowest index" ties resolve to the same server), they simply receive a
+/// zero cap — which is exactly what the scatter leaves behind.
+pub fn split_caps_active(
+    split: CapSplit,
+    global_cap_w: f64,
+    demands: &[ServerDemand],
+    quantum_w: f64,
+) -> Vec<f64> {
+    split_active(
+        split,
+        global_cap_w,
+        demands,
+        &TreeSignals::default(),
+        quantum_w,
+    )
+    .expect("without tier floors a split cannot fail")
+}
+
+/// [`split_caps_active`] with signals: present signal slices are compacted
+/// alongside the demands.
+fn split_active(
+    split: CapSplit,
+    global_cap_w: f64,
+    demands: &[ServerDemand],
+    signals: &TreeSignals<'_>,
+    quantum_w: f64,
+) -> Result<Vec<f64>, SplitError> {
+    let n = demands.len();
+    let active_idx: Vec<usize> = (0..n).filter(|&i| demands[i].active).collect();
+    if active_idx.len() == n {
+        return split_caps(split, global_cap_w, demands, signals, quantum_w);
+    }
+    let mut caps = vec![0.0; n];
+    if active_idx.is_empty() {
+        return Ok(caps);
+    }
+    fn pick<T: Copy>(xs: &[T], idx: &[usize]) -> Vec<T> {
+        idx.iter().map(|&i| xs[i]).collect()
+    }
+    let sla = signals.sla.map(|s| pick(s, &active_idx));
+    let crit = signals.crit.map(|c| pick(c, &active_idx));
+    let compact_signals = TreeSignals {
+        sla: sla.as_deref(),
+        crit: crit.as_deref(),
+        tier_floor_frac: signals.tier_floor_frac,
+    };
+    let compact = pick(demands, &active_idx);
+    let compact_caps = split_caps(split, global_cap_w, &compact, &compact_signals, quantum_w)?;
+    for (&i, c) in active_idx.iter().zip(compact_caps) {
+        caps[i] = c;
+    }
+    Ok(caps)
+}
+
+/// The one cached splitter a coordinator holds: a whole-fleet [`CapCache`]
+/// in front of either the flat [`split_caps`] dispatch or a compiled
+/// [`HierSplitter`] for a [`BudgetTree`].
+///
+/// The two caches test different things at a positive dead-band —
+/// `CapCache` checks every server's telemetry, `HierSplitter` each node's
+/// per-child aggregates — so both stay. Under [`EngineKind::Round`] the
+/// dead-band is pinned to zero, where every replay is bit-identical to a
+/// recompute. The budget and quantum must stay fixed between
+/// [`FleetSplitter::invalidate`] calls, as for [`CapCache`].
+#[derive(Clone, Debug)]
+pub struct FleetSplitter {
+    cache: CapCache,
+    discipline: Discipline,
+}
+
+#[derive(Clone, Debug)]
+enum Discipline {
+    Flat(CapSplit),
+    Tree(HierSplitter),
+}
+
+impl FleetSplitter {
+    /// A cold splitter for the fleet `names`: tree-shaped when `topology`
+    /// is given (compiled against `names`), else flat over `split`. A flat
+    /// splitter allocates nothing until its first split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tree leaf names a server absent from `names`, or if the
+    /// dead-band is negative or NaN.
+    pub fn new(
+        split: CapSplit,
+        topology: Option<&BudgetTree>,
+        names: &[&str],
+        engine: EngineKind,
+        dead_band_w: f64,
+    ) -> FleetSplitter {
+        let dead_band_w = match engine {
+            EngineKind::Round => 0.0,
+            EngineKind::Event => dead_band_w,
+        };
+        let discipline = match topology {
+            Some(tree) => Discipline::Tree(HierSplitter::compile(tree, names, dead_band_w)),
+            None => Discipline::Flat(split),
+        };
+        FleetSplitter {
+            cache: CapCache::new(dead_band_w),
+            discipline,
+        }
+    }
+
+    /// Splits `global_cap_w` over the fleet, replaying the previous split
+    /// while no server's telemetry left the dead-band.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`SplitError::InfeasibleFloors`] exactly when the
+    /// uncached split would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demands` or a present signal slice is not indexed like
+    /// the fleet.
+    pub fn split(
+        &mut self,
+        global_cap_w: f64,
+        demands: &[ServerDemand],
+        signals: &TreeSignals<'_>,
+        quantum_w: f64,
+    ) -> Result<Vec<f64>, SplitError> {
+        if let Some(caps) = self.cache.lookup(demands, signals.sla, signals.crit) {
+            return Ok(caps);
+        }
+        let caps = match &mut self.discipline {
+            Discipline::Flat(split) => {
+                split_active(*split, global_cap_w, demands, signals, quantum_w)?
+            }
+            Discipline::Tree(h) => h.split_signals(global_cap_w, demands, signals, quantum_w)?,
+        };
+        self.cache.store(demands, signals.sla, signals.crit, &caps);
+        Ok(caps)
+    }
+
+    /// Follows a membership change: drops the whole-fleet replay and
+    /// rebinds a tree splitter to the churned `tree` and fleet `names`,
+    /// keeping the entries of structurally unchanged groups (see
+    /// [`HierSplitter::rebind`]). A flat splitter ignores both arguments.
+    pub fn rebind(&mut self, tree: Option<&BudgetTree>, names: &[&str]) {
+        self.cache.invalidate();
+        if let (Discipline::Tree(h), Some(tree)) = (&mut self.discipline, tree) {
+            h.rebind(tree, names);
+        }
+    }
+
+    /// Drops every cached allocation (leadership changes, adopted state).
+    pub fn invalidate(&mut self) {
+        self.cache.invalidate();
+        if let Discipline::Tree(h) = &mut self.discipline {
+            h.invalidate();
+        }
     }
 }
 
@@ -151,42 +354,23 @@ impl std::error::Error for SplitError {}
 /// unspent (the energy the discipline saves). With `shares` of `None` or
 /// all-zero — traces too sparse to trust — the split degrades to exactly
 /// the demand-proportional discipline over the same floors.
-pub fn split_caps_critical(
+fn split_caps_critical(
     global_cap_w: f64,
     demands: &[ServerDemand],
     shares: Option<&[f64]>,
     floor_w: Option<&[f64]>,
 ) -> Result<Vec<f64>, SplitError> {
-    let n_active = demands.iter().filter(|d| d.active).count();
-    if n_active == 0 {
-        return Ok(vec![0.0; demands.len()]);
-    }
     let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
     let mut spare = (global_cap_w - caps.iter().sum::<f64>()).max(0.0);
-    let warm = shares.is_some_and(|s| {
+    let warm = shares.filter(|s| {
         assert_eq!(s.len(), demands.len(), "one share per child");
         s.iter().any(|&x| x > 0.0)
     });
-    if !warm {
+    let Some(shares) = warm else {
         // Sparse traces: exactly the demand-proportional discipline.
-        let total_headroom: f64 = demands
-            .iter()
-            .filter(|d| d.active)
-            .map(ServerDemand::headroom)
-            .sum();
-        for (cap, d) in caps.iter_mut().zip(demands) {
-            if !d.active {
-                continue;
-            }
-            *cap += if total_headroom > 0.0 {
-                spare * d.headroom() / total_headroom
-            } else {
-                spare / n_active as f64
-            };
-        }
+        spread_by_headroom(&mut caps, demands, spare);
         return Ok(caps);
-    }
-    let shares = shares.expect("warm implies shares");
+    };
     // Water-fill spare budget by critical-path share, clipping each child
     // at its demand; every pass either spends the spare or saturates a
     // child, so at most n passes run.
@@ -221,18 +405,26 @@ pub fn split_caps_critical(
     Ok(caps)
 }
 
-/// SLA-aware splitting with explicit per-child floors; see
-/// [`split_caps_sla`]. Each floor is raised to the child's all-minimum
-/// power, and the call fails with [`SplitError::InfeasibleFloors`] instead
-/// of silently clamping when the floors over-commit the budget.
-pub fn split_caps_sla_floored(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    sla: &[SlaSignal],
-    floor_w: &[f64],
-    quantum_w: f64,
-) -> Result<Vec<f64>, SplitError> {
-    sla_core(global_cap_w, demands, sla, quantum_w, Some(floor_w))
+/// Adds `spare` to the active servers' caps in proportion to their demand
+/// headroom (evenly when no server has any): the demand-proportional
+/// discipline above its floors.
+fn spread_by_headroom(caps: &mut [f64], demands: &[ServerDemand], spare: f64) {
+    let n_active = demands.iter().filter(|d| d.active).count();
+    let total_headroom: f64 = demands
+        .iter()
+        .filter(|d| d.active)
+        .map(ServerDemand::headroom)
+        .sum();
+    for (cap, d) in caps.iter_mut().zip(demands) {
+        if !d.active {
+            continue;
+        }
+        *cap += if total_headroom > 0.0 {
+            spare * d.headroom() / total_headroom
+        } else {
+            spare / n_active as f64
+        };
+    }
 }
 
 /// One server's tail-latency telemetry for SLA-aware splitting.
@@ -267,36 +459,17 @@ impl SlaSignal {
 ///
 /// Floors are covered first (scaled when infeasible), then quanta go to
 /// violators in FastCap marginal-utility order until they saturate at their
-/// desires, then to everyone else. Unlike [`split_caps`] with
-/// `CapSplit::FastCap`, leftover budget is **not** parked on servers: when
-/// every desire is satisfied the fleet deliberately draws less than the
-/// budget — that slack is the energy the discipline saves.
-pub fn split_caps_sla(
+/// desires, then to everyone else. Unlike `CapSplit::FastCap`, leftover
+/// budget is **not** parked on servers: when every desire is satisfied the
+/// fleet deliberately draws less than the budget — that slack is the
+/// energy the discipline saves.
+fn split_caps_sla(
     global_cap_w: f64,
     demands: &[ServerDemand],
     sla: &[SlaSignal],
     quantum_w: f64,
 ) -> Vec<f64> {
-    sla_core(global_cap_w, demands, sla, quantum_w, None)
-        .expect("legacy floors are always feasible")
-}
-
-/// The SLA granting loop behind [`split_caps_sla`] and
-/// [`split_caps_sla_floored`]. `floor_w` of `None` keeps the legacy
-/// behavior (each server floored at its scaled all-minimum power, feasible
-/// by construction); explicit floors are validated and can fail.
-fn sla_core(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    sla: &[SlaSignal],
-    quantum_w: f64,
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
     assert_eq!(demands.len(), sla.len(), "one SLA signal per server");
-    let n_active = demands.iter().filter(|d| d.active).count();
-    if n_active == 0 {
-        return Ok(vec![0.0; demands.len()]);
-    }
     // Per-server desired cap (the ceiling it may be granted up to).
     let desired: Vec<f64> = demands
         .iter()
@@ -312,9 +485,10 @@ fn sla_core(
             }
         })
         .collect();
-    let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
-    // Explicit floors may sit above a trimmed desire; the grant loop
-    // treats such servers as already saturated and the floor stands.
+    let mut caps = floors(global_cap_w, demands);
+    // A power floor may sit above a trimmed desire (demand below the
+    // floor); the grant loop treats such servers as already saturated and
+    // the floor stands.
     let desired: Vec<f64> = desired
         .iter()
         .zip(&caps)
@@ -375,7 +549,7 @@ fn sla_core(
             }
         }
     }
-    Ok(caps)
+    caps
 }
 
 /// Watts below which a server counts as clipped at its granting ceiling:
@@ -398,8 +572,8 @@ fn floors(global_cap_w: f64, demands: &[ServerDemand]) -> Vec<f64> {
         .collect()
 }
 
-/// Starting caps for a granting loop. `floor_w` of `None` keeps the legacy
-/// scaled floors above (always feasible); explicit floors are raised to
+/// Starting caps for a granting loop. `floor_w` of `None` keeps the scaled
+/// power floors above (always feasible); explicit floors are raised to
 /// each active server's all-minimum power and rejected with
 /// [`SplitError::InfeasibleFloors`] when their sum exceeds the budget.
 fn checked_floors(
@@ -449,40 +623,18 @@ pub(crate) fn utility_at(d: &ServerDemand, cap: f64) -> f64 {
     d.demand_w * perf_at(d, cap)
 }
 
-/// The marginal-utility greedy allocation, with FastCap's leftover parking.
-fn fastcap_split(global_cap_w: f64, demands: &[ServerDemand], quantum_w: f64) -> Vec<f64> {
-    fastcap_core(global_cap_w, demands, quantum_w, true, None)
-        .expect("legacy floors are always feasible")
-}
-
-/// FastCap's granting loop with explicit per-child floors; fails with
-/// [`SplitError::InfeasibleFloors`] instead of silently clamping when the
-/// floors over-commit the budget. Leftover budget goes unspent (caps stay
-/// at or below demand).
-pub fn split_caps_fastcap_floored(
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    floor_w: &[f64],
-    quantum_w: f64,
-) -> Result<Vec<f64>, SplitError> {
-    fastcap_core(global_cap_w, demands, quantum_w, false, Some(floor_w))
-}
-
 /// The FastCap granting loop. `park_leftover` selects what happens to
 /// budget left after every active server saturates at its demand: FastCap
 /// proper parks it uniformly as headroom (transient demand spikes between
 /// rounds stay within budget); the SLA-aware degrade path leaves it unspent
-/// so `cap[i] ≤ demand[i]` holds, matching `split_caps_sla`. `floor_w` of
-/// `None` keeps the legacy scaled floors; explicit floors are validated
-/// and make the call fallible.
+/// so `cap[i] ≤ demand[i]` holds, matching the SLA-aware split.
 fn fastcap_core(
     global_cap_w: f64,
     demands: &[ServerDemand],
     quantum_w: f64,
     park_leftover: bool,
-    floor_w: Option<&[f64]>,
-) -> Result<Vec<f64>, SplitError> {
-    let mut caps = checked_floors(global_cap_w, demands, floor_w)?;
+) -> Vec<f64> {
+    let mut caps = floors(global_cap_w, demands);
     let mut spare = global_cap_w - caps.iter().sum::<f64>();
     let mut clipped = vec![false; demands.len()];
     // Grant quanta while any server still gains from them.
@@ -493,7 +645,7 @@ fn fastcap_core(
             // The non-parking variant clips grants at demand, so (like the
             // SLA split) a server within the clip epsilon of demand is
             // saturated — scanning it forever for sliver grants is the
-            // degenerate loop `split_caps_sla` also guards against. The
+            // degenerate loop the SLA split also guards against. The
             // parking variant grants whole quanta and may overshoot, so it
             // keeps the original strict comparison.
             let saturated = if park_leftover {
@@ -541,7 +693,7 @@ fn fastcap_core(
             }
         }
     }
-    Ok(caps)
+    caps
 }
 
 /// Jain's fairness index over a set of non-negative allocations:
@@ -572,11 +724,16 @@ mod tests {
         }
     }
 
+    /// The signal-free dispatch, which cannot fail.
+    fn flat(split: CapSplit, budget: f64, ds: &[ServerDemand], quantum: f64) -> Vec<f64> {
+        split_caps(split, budget, ds, &TreeSignals::default(), quantum).unwrap()
+    }
+
     #[test]
     fn uniform_splits_equally_among_active() {
         let mut ds = vec![d(100.0, 30.0), d(200.0, 30.0), d(50.0, 30.0)];
         ds[1].active = false;
-        let caps = split_caps(CapSplit::Uniform, 120.0, &ds, 1.0);
+        let caps = flat(CapSplit::Uniform, 120.0, &ds, 1.0);
         assert_eq!(caps, vec![60.0, 0.0, 60.0]);
     }
 
@@ -584,7 +741,7 @@ mod tests {
     fn demand_proportional_tracks_headroom() {
         let ds = vec![d(130.0, 30.0), d(80.0, 30.0)];
         // Floors take 60; spare 90 splits 2:1 by headroom (100 vs 50).
-        let caps = split_caps(CapSplit::DemandProportional, 150.0, &ds, 1.0);
+        let caps = flat(CapSplit::DemandProportional, 150.0, &ds, 1.0);
         assert!((caps[0] - 90.0).abs() < 1e-9, "{caps:?}");
         assert!((caps[1] - 60.0).abs() < 1e-9, "{caps:?}");
     }
@@ -593,7 +750,7 @@ mod tests {
     fn fastcap_never_exceeds_budget_and_covers_floors() {
         let ds = vec![d(150.0, 40.0), d(90.0, 35.0), d(60.0, 30.0)];
         for budget in [110.0, 160.0, 250.0, 400.0] {
-            let caps = split_caps(CapSplit::FastCap, budget, &ds, 1.0);
+            let caps = flat(CapSplit::FastCap, budget, &ds, 1.0);
             let total: f64 = caps.iter().sum();
             assert!(total <= budget + 1e-6, "budget {budget}: {caps:?}");
             if budget >= 105.0 {
@@ -610,8 +767,8 @@ mod tests {
         // small server while starving the big ones.
         let ds = vec![d(200.0, 40.0), d(180.0, 40.0), d(50.0, 40.0)];
         let budget = 270.0;
-        let uni = split_caps(CapSplit::Uniform, budget, &ds, 1.0);
-        let fc = split_caps(CapSplit::FastCap, budget, &ds, 1.0);
+        let uni = flat(CapSplit::Uniform, budget, &ds, 1.0);
+        let fc = flat(CapSplit::FastCap, budget, &ds, 1.0);
         let perf =
             |caps: &[f64]| -> f64 { caps.iter().zip(&ds).map(|(c, d)| utility_at(d, *c)).sum() };
         assert!(
@@ -630,7 +787,7 @@ mod tests {
             CapSplit::DemandProportional,
             CapSplit::FastCap,
         ] {
-            let caps = split_caps(split, 60.0, &ds, 1.0);
+            let caps = flat(split, 60.0, &ds, 1.0);
             assert!(caps.iter().sum::<f64>() <= 60.0 + 1e-9, "{split}: {caps:?}");
         }
     }
@@ -696,8 +853,8 @@ mod tests {
     fn sla_variant_without_signals_degrades_to_fastcap() {
         // Below saturation the degraded path is FastCap's granting order.
         let ds = vec![d(200.0, 40.0), d(180.0, 40.0), d(50.0, 40.0)];
-        let a = split_caps(CapSplit::SlaAware, 270.0, &ds, 1.0);
-        let b = split_caps(CapSplit::FastCap, 270.0, &ds, 1.0);
+        let a = flat(CapSplit::SlaAware, 270.0, &ds, 1.0);
+        let b = flat(CapSplit::FastCap, 270.0, &ds, 1.0);
         assert_eq!(a, b);
     }
 
@@ -710,7 +867,7 @@ mod tests {
         // power than serve runs at the same budget.
         let ds = vec![d(100.0, 30.0), d(60.0, 20.0), d(80.0, 25.0)];
         for budget in [300.0, 500.0, 1000.0] {
-            let caps = split_caps(CapSplit::SlaAware, budget, &ds, 1.0);
+            let caps = flat(CapSplit::SlaAware, budget, &ds, 1.0);
             assert!(
                 caps.iter().sum::<f64>() <= budget + 1e-6,
                 "budget {budget}: {caps:?}"
@@ -729,7 +886,7 @@ mod tests {
             }
         }
         // FastCap proper still parks — the two variants genuinely differ.
-        let parked = split_caps(CapSplit::FastCap, 500.0, &ds, 1.0);
+        let parked = flat(CapSplit::FastCap, 500.0, &ds, 1.0);
         assert!(parked.iter().sum::<f64>() > 400.0, "{parked:?}");
     }
 
@@ -785,23 +942,14 @@ mod tests {
     #[test]
     fn infeasible_explicit_floors_surface_structured_error() {
         // Two servers whose configured floors (70 + 70) over-commit a
-        // 100 W budget. The legacy paths silently scale; the floored
-        // entry points must refuse instead.
+        // 100 W budget. The power-floor paths silently scale; explicit
+        // floors must refuse instead.
         let ds = vec![d(100.0, 30.0), d(100.0, 30.0)];
         let floors_w = [70.0, 70.0];
-        let sig = vec![sla(2e-3, 1e-3), sla(0.5e-3, 1e-3)];
         let expect = SplitError::InfeasibleFloors {
             required_w: 140.0,
             budget_w: 100.0,
         };
-        assert_eq!(
-            split_caps_sla_floored(100.0, &ds, &sig, &floors_w, 1.0),
-            Err(expect)
-        );
-        assert_eq!(
-            split_caps_fastcap_floored(100.0, &ds, &floors_w, 1.0),
-            Err(expect)
-        );
         assert_eq!(
             split_caps_critical(100.0, &ds, Some(&[0.5, 0.5]), Some(&floors_w)),
             Err(expect)
@@ -809,9 +957,28 @@ mod tests {
         let msg = expect.to_string();
         assert!(msg.contains("infeasible floors"), "{msg}");
         assert!(msg.contains("140.000") && msg.contains("100.000"), "{msg}");
+        // Through the dispatch, tier floors (25 W each at a 0.5 fraction)
+        // are raised to 60 W power floors and over-commit 100 W the same
+        // way; the signal-free disciplines scale instead.
+        let heavy = vec![d(100.0, 60.0), d(100.0, 60.0)];
+        let tiers = TreeSignals {
+            crit: Some(&[0.5, 0.5]),
+            tier_floor_frac: 0.5,
+            ..TreeSignals::default()
+        };
+        assert_eq!(
+            split_caps(CapSplit::CriticalPath, 100.0, &heavy, &tiers, 1.0),
+            Err(SplitError::InfeasibleFloors {
+                required_w: 120.0,
+                budget_w: 100.0,
+            })
+        );
+        for split in [CapSplit::FastCap, CapSplit::SlaAware] {
+            assert!(split_caps(split, 100.0, &heavy, &tiers, 1.0).is_ok());
+        }
         // The same floors under a sufficient budget succeed and cover them.
-        let caps = split_caps_fastcap_floored(150.0, &ds, &floors_w, 1.0).unwrap();
-        assert!(caps.iter().all(|&c| c >= 70.0 - 1e-9), "{caps:?}");
+        let caps = split_caps(CapSplit::CriticalPath, 150.0, &heavy, &tiers, 1.0).unwrap();
+        assert!(caps.iter().all(|&c| c >= 60.0 - 1e-9), "{caps:?}");
     }
 
     #[test]
@@ -828,13 +995,13 @@ mod tests {
     #[test]
     fn critical_split_degrades_to_demand_proportional() {
         let ds = vec![d(130.0, 30.0), d(80.0, 30.0), d(60.0, 25.0)];
-        let dp = split_caps(CapSplit::DemandProportional, 180.0, &ds, 1.0);
+        let dp = flat(CapSplit::DemandProportional, 180.0, &ds, 1.0);
         for shares in [None, Some([0.0, 0.0, 0.0].as_slice())] {
             let caps = split_caps_critical(180.0, &ds, shares, None).unwrap();
             assert_eq!(caps, dp, "shares {shares:?}");
         }
         // The flat CapSplit arm (batch runs, no traces) matches too.
-        assert_eq!(split_caps(CapSplit::CriticalPath, 180.0, &ds, 1.0), dp);
+        assert_eq!(flat(CapSplit::CriticalPath, 180.0, &ds, 1.0), dp);
     }
 
     #[test]
@@ -867,6 +1034,88 @@ mod tests {
             caps.iter().sum::<f64>() < 400.0 - 1.0,
             "leftover spent: {caps:?}"
         );
+    }
+
+    #[test]
+    fn active_split_matches_full_split_bit_for_bit() {
+        // Awkward fractions on purpose: the scatter must reproduce the
+        // full computation's exact float arithmetic, not approximate it.
+        let mut demands = vec![
+            d(97.3, 24.1),
+            d(55.7, 19.9),
+            d(130.0, 30.0),
+            d(61.9, 21.3),
+            d(88.8, 26.2),
+            d(42.0, 18.0),
+        ];
+        for i in [1, 3, 5] {
+            demands[i].active = false;
+        }
+        let sigs: Vec<SlaSignal> = [2e-3, 0.0, 0.4e-3, 3e-3, 0.9e-3, 0.1e-3]
+            .iter()
+            .map(|&p99_s| sla(p99_s, 1e-3))
+            .collect();
+        let crit = [0.1, 0.9, 0.3, 0.0, 0.6, 0.2];
+        let signal_sets = [
+            TreeSignals::default(),
+            TreeSignals {
+                sla: Some(&sigs),
+                crit: Some(&crit),
+                tier_floor_frac: 0.4,
+            },
+        ];
+        for split in [
+            CapSplit::Uniform,
+            CapSplit::DemandProportional,
+            CapSplit::FastCap,
+            CapSplit::SlaAware,
+            CapSplit::CriticalPath,
+        ] {
+            for signals in &signal_sets {
+                for budget in [90.0, 217.5, 400.0] {
+                    let full = split_caps(split, budget, &demands, signals, 1.0).unwrap();
+                    let fast = split_active(split, budget, &demands, signals, 1.0).unwrap();
+                    let full_bits: Vec<u64> = full.iter().map(|c| c.to_bits()).collect();
+                    let fast_bits: Vec<u64> = fast.iter().map(|c| c.to_bits()).collect();
+                    assert_eq!(full_bits, fast_bits, "{split} at {budget} W");
+                }
+            }
+            let plain = split_caps_active(split, 217.5, &demands, 1.0);
+            assert_eq!(plain, flat(split, 217.5, &demands, 1.0), "{split}");
+        }
+    }
+
+    #[test]
+    fn fleet_splitter_pins_a_zero_dead_band_under_the_round_engine() {
+        let names = ["a", "b"];
+        let base = vec![d(100.0, 30.0), d(80.0, 25.0)];
+        let mut nudged = base.clone();
+        nudged[0].demand_w += 1.0;
+        let none = TreeSignals::default();
+        for engine in [EngineKind::Round, EngineKind::Event] {
+            let mut s = FleetSplitter::new(CapSplit::DemandProportional, None, &names, engine, 5.0);
+            let first = s.split(150.0, &base, &none, 1.0).unwrap();
+            let second = s.split(150.0, &nudged, &none, 1.0).unwrap();
+            match engine {
+                // A 1 W move is inside the 5 W band: the event engine
+                // replays, the round engine recomputes exactly.
+                EngineKind::Event => assert_eq!(second, first),
+                EngineKind::Round => {
+                    assert_eq!(
+                        second,
+                        flat(CapSplit::DemandProportional, 150.0, &nudged, 1.0)
+                    );
+                    assert_ne!(second, first);
+                }
+            }
+            // Invalidation always recomputes.
+            s.invalidate();
+            let third = s.split(150.0, &nudged, &none, 1.0).unwrap();
+            assert_eq!(
+                third,
+                flat(CapSplit::DemandProportional, 150.0, &nudged, 1.0)
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! Under the default [`RpcConfig`] (zero latency, zero loss, no failover)
 //! every message sent at a barrier is delivered and answered within that
 //! same barrier, the reconcile loop below converges to the exact
-//! (bit-identical) caps of the direct [`split_caps_active`] /
+//! (bit-identical) caps of the direct [`split_caps`](crate::split_caps) /
 //! [`BudgetTree`](crate::BudgetTree) computation, and both engines
 //! reproduce their pre-plane digests exactly — proven in
 //! `tests/engine_equivalence.rs`. With failover on, the leader also
@@ -69,9 +69,7 @@
 //! freed watts are confirmed by the standby within the barrier and the
 //! caps still match the direct computation bit for bit.
 
-use crate::coordinator::ServerDemand;
-use crate::engine::{split_caps_active, CapCache, EngineKind};
-use crate::hiercache::HierSplitter;
+use crate::coordinator::{FleetSplitter, ServerDemand, TreeSignals};
 use crate::ClusterConfig;
 use netsim::{Envelope, LinkConfig, MsgPlane, NodeId, PlaneStats};
 use simkernel::Ps;
@@ -797,12 +795,7 @@ struct Coordinator {
     view_round: Vec<u64>,
     suspected: Vec<bool>,
     ledger: LeaseLedger,
-    cache: CapCache,
-    /// Compiled hierarchical splitter, when the config has a topology:
-    /// replays clean subtrees per-node instead of re-walking the whole
-    /// tree every cache miss. At the flat cache's zero dead-band its
-    /// output is bit-identical to `BudgetTree::split`.
-    hier: Option<HierSplitter>,
+    splitter: FleetSplitter,
     /// Per-barrier scratch: the view with suspected servers masked
     /// inactive (kept allocated across barriers).
     live: Vec<ServerDemand>,
@@ -822,7 +815,6 @@ struct Coordinator {
 }
 
 impl Coordinator {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         node: NodeId,
         peer: Option<NodeId>,
@@ -830,8 +822,7 @@ impl Coordinator {
         n: usize,
         initial_cap_w: f64,
         lease_rounds: u64,
-        dead_band_w: f64,
-        hier: Option<HierSplitter>,
+        splitter: FleetSplitter,
     ) -> Coordinator {
         Coordinator {
             node,
@@ -849,8 +840,7 @@ impl Coordinator {
             view_round: vec![0; n],
             suspected: vec![false; n],
             ledger: LeaseLedger::new(n, initial_cap_w, lease_rounds),
-            cache: CapCache::new(dead_band_w),
-            hier,
+            splitter,
             live: Vec::with_capacity(n),
             next_seq: 1,
             last_peer_heard: 0,
@@ -879,10 +869,7 @@ impl Coordinator {
         self.view_round = hb.state.view_round;
         self.ledger = hb.state.ledger;
         self.next_seq = hb.state.next_seq;
-        self.cache.invalidate();
-        if let Some(h) = &mut self.hier {
-            h.invalidate();
-        }
+        self.splitter.invalidate();
     }
 }
 
@@ -936,21 +923,13 @@ impl ControlPlane {
         let primary = NodeId(n);
         let standby = NodeId(n + 1);
         let initial = config.global_cap_w / n as f64;
-        // The round engine recomputes every barrier today; pinning its
-        // coordinator cache to a zero dead-band keeps any replay
-        // bit-identical to that recompute. The event engine keeps its
-        // configured dead-band semantics.
-        let dead_band = match config.engine {
-            EngineKind::Round => 0.0,
-            EngineKind::Event => config.dead_band_w,
-        };
-        // Hierarchical runs compile the tree once; every coordinator gets
-        // its own (initially cold) per-node replay cache over the shared
-        // compiled structure.
-        let hier = config
-            .topology
-            .as_ref()
-            .map(|t| HierSplitter::compile(t, &names, dead_band));
+        let splitter = FleetSplitter::new(
+            config.split,
+            config.topology.as_ref(),
+            &names,
+            config.engine,
+            config.dead_band_w,
+        );
         let coords = (0..coords_n)
             .map(|c| {
                 let (node, peer) = if c == 0 {
@@ -965,8 +944,7 @@ impl ControlPlane {
                     n,
                     initial,
                     rpc.lease_rounds,
-                    dead_band,
-                    hier.clone(),
+                    splitter.clone(),
                 )
             })
             .collect();
@@ -1019,13 +997,15 @@ impl ControlPlane {
     /// `reports` carries `(server index, telemetry)` for every server with
     /// something to say this barrier — all servers under the round engine,
     /// the awake set plus one final inactive "goodbye" report per freshly
-    /// finished server under the event engine.
+    /// finished server under the event engine. `_names` (the fleet order)
+    /// is unused: the splitter was compiled against it in
+    /// [`ControlPlane::new`].
     pub fn barrier(
         &mut self,
         round: u64,
         reports: &[(usize, ServerDemand)],
         config: &ClusterConfig,
-        names: &[&str],
+        _names: &[&str],
     ) -> Vec<f64> {
         let t = Ps::new(round);
         self.apply_partitions(round);
@@ -1049,7 +1029,7 @@ impl ControlPlane {
         self.maybe_elect(round);
         for c in 0..self.coords.len() {
             if self.coords[c].is_leader {
-                self.decide(c, round, t, config, names);
+                self.decide(c, round, t, config);
             }
         }
 
@@ -1287,10 +1267,7 @@ impl ControlPlane {
             for s in &mut co.suspected {
                 *s = false;
             }
-            co.cache.invalidate();
-            if let Some(h) = &mut co.hier {
-                h.invalidate();
-            }
+            co.splitter.invalidate();
             self.stats.elections += 1;
         }
     }
@@ -1304,7 +1281,7 @@ impl ControlPlane {
     /// the next pass spends them, and the first higher-term nack aborts
     /// the batch — a deposed leader stops granting immediately. Ends with
     /// a heartbeat to the peer.
-    fn decide(&mut self, c: usize, round: u64, t: Ps, config: &ClusterConfig, names: &[&str]) {
+    fn decide(&mut self, c: usize, round: u64, t: Ps, config: &ClusterConfig) {
         let n = self.n;
         let desired = {
             let co = &mut self.coords[c];
@@ -1334,30 +1311,14 @@ impl ControlPlane {
             }
             co.granted_this_barrier.clear();
             co.granted_this_barrier.resize(n, None);
-            if let Some(caps) = co.cache.lookup(&co.live, None, None) {
-                caps
-            } else {
-                // Hierarchical splits go through the compiled per-node
-                // replay cache when present; flat splits compact to the
-                // active set. Both are bit-identical to the plain tree /
-                // full-slice split.
-                let caps = match (&config.topology, co.hier.as_mut()) {
-                    (Some(_), Some(h)) => {
-                        h.split(config.global_cap_w, &co.live, None, config.quantum_w)
-                    }
-                    (Some(tree), None) => {
-                        tree.split(config.global_cap_w, names, &co.live, None, config.quantum_w)
-                    }
-                    (None, _) => split_caps_active(
-                        config.split,
-                        config.global_cap_w,
-                        &co.live,
-                        config.quantum_w,
-                    ),
-                };
-                co.cache.store(&co.live, None, None, &caps);
-                caps
-            }
+            co.splitter
+                .split(
+                    config.global_cap_w,
+                    &co.live,
+                    &TreeSignals::default(),
+                    config.quantum_w,
+                )
+                .expect("without tier floors a split cannot fail")
         };
 
         // Reconcile to fixpoint: at zero latency each pass's acks free the

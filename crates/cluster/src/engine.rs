@@ -22,8 +22,7 @@
 //! previous barrier's bit for bit. `tests/engine_equivalence.rs` proves the
 //! equivalence differentially across the config space.
 
-use crate::coordinator::{split_caps, ServerDemand, SlaSignal};
-use crate::CapSplit;
+use crate::coordinator::{ServerDemand, SlaSignal};
 use simkernel::Ps;
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
@@ -303,40 +302,6 @@ impl CapCache {
     }
 }
 
-/// [`split_caps`] restricted to the active servers: the discipline's hot
-/// loops (FastCap's per-quantum scan above all) run over a compacted
-/// active-only slice and the results scatter back to fleet positions.
-///
-/// Bit-identical to `split_caps` over the full slice: inactive servers take
-/// no part in any discipline's arithmetic (every sum, scan and tie-break
-/// filters on `active`, and compaction preserves relative order, so
-/// "lowest index" ties resolve to the same server), they simply receive a
-/// zero cap — which is exactly what the scatter leaves behind. On a
-/// 90%-idle fleet this turns an `O(fleet)` per-quantum scan into
-/// `O(active)`.
-pub fn split_caps_active(
-    split: CapSplit,
-    global_cap_w: f64,
-    demands: &[ServerDemand],
-    quantum_w: f64,
-) -> Vec<f64> {
-    let n = demands.len();
-    let active_idx: Vec<usize> = (0..n).filter(|&i| demands[i].active).collect();
-    if active_idx.len() == n {
-        return split_caps(split, global_cap_w, demands, quantum_w);
-    }
-    let mut caps = vec![0.0; n];
-    if active_idx.is_empty() {
-        return caps;
-    }
-    let compact: Vec<ServerDemand> = active_idx.iter().map(|&i| demands[i]).collect();
-    let compact_caps = split_caps(split, global_cap_w, &compact, quantum_w);
-    for (&i, c) in active_idx.iter().zip(compact_caps) {
-        caps[i] = c;
-    }
-    caps
-}
-
 /// One scheduled wake in a [`ShardedWakeQueue`] shard.
 ///
 /// Ordered like `simkernel::EventQueue` entries — earliest time first,
@@ -481,34 +446,6 @@ mod tests {
             demand_w,
             min_w,
             active,
-        }
-    }
-
-    #[test]
-    fn active_split_matches_full_split_bit_for_bit() {
-        // Awkward fractions on purpose: the scatter must reproduce the
-        // full computation's exact float arithmetic, not approximate it.
-        let demands = vec![
-            d(97.3, 24.1, true),
-            d(55.7, 19.9, false),
-            d(130.0, 30.0, true),
-            d(61.9, 21.3, false),
-            d(88.8, 26.2, true),
-            d(42.0, 18.0, false),
-        ];
-        for split in [
-            CapSplit::Uniform,
-            CapSplit::DemandProportional,
-            CapSplit::FastCap,
-            CapSplit::SlaAware,
-        ] {
-            for budget in [90.0, 217.5, 400.0] {
-                let full = split_caps(split, budget, &demands, 1.0);
-                let fast = split_caps_active(split, budget, &demands, 1.0);
-                let full_bits: Vec<u64> = full.iter().map(|c| c.to_bits()).collect();
-                let fast_bits: Vec<u64> = fast.iter().map(|c| c.to_bits()).collect();
-                assert_eq!(full_bits, fast_bits, "{split} at {budget} W");
-            }
         }
     }
 

@@ -1,5 +1,7 @@
 //! Hierarchical cap cache: a [`BudgetTree`] compiled into an
-//! index-addressed node table with per-node dead-band replay.
+//! index-addressed node table with per-node dead-band replay. Coordinators
+//! reach it through [`FleetSplitter`](crate::FleetSplitter), which keeps
+//! the flat cache in front of it.
 //!
 //! The flat [`CapCache`](crate::CapCache) replays a *whole-fleet* split
 //! only while no server's telemetry moved, so one busy server forces a
@@ -36,10 +38,8 @@
 //! label), so churn inside one rack leaves its siblings' cached
 //! allocations replayable.
 
-use crate::coordinator::{
-    split_caps, split_caps_critical, split_caps_sla, ServerDemand, SlaSignal, SplitError,
-};
-use crate::tree::{BudgetNode, BudgetTree, GroupShare, TreeSignals};
+use crate::coordinator::{split_caps, ServerDemand, SlaSignal, SplitError, TreeSignals};
+use crate::tree::{BudgetNode, BudgetTree, GroupShare};
 use crate::CapSplit;
 use std::collections::HashMap;
 
@@ -113,9 +113,9 @@ struct Entry {
     tier_floor_bits: u64,
     /// Per-child aggregated demand at store time.
     ref_demands: Vec<ServerDemand>,
-    /// Per-child materialized SLA ratio at store time (`Some` iff the
+    /// Per-child materialized SLA signal at store time (`Some` iff the
     /// split ran with SLA signals — presence is part of the key).
-    ref_sla: Option<Vec<f64>>,
+    ref_sla: Option<Vec<SlaSignal>>,
     /// Per-child aggregated critical-path share at store time.
     ref_crit: Option<Vec<f64>>,
     shares: Vec<f64>,
@@ -244,37 +244,6 @@ impl HierSplitter {
     /// Interior-node recomputes so far.
     pub fn node_misses(&self) -> u64 {
         self.node_misses
-    }
-
-    /// The configured per-node telemetry dead-band, watts.
-    pub fn dead_band_w(&self) -> f64 {
-        self.dead_band_w
-    }
-
-    /// Splits like [`BudgetTree::split`] (SLA-only signals, no tier
-    /// floors — cannot fail), replaying clean subtrees.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demands` (or `sla`) is not indexed like the compiled
-    /// fleet.
-    pub fn split(
-        &mut self,
-        global_cap_w: f64,
-        demands: &[ServerDemand],
-        sla: Option<&[SlaSignal]>,
-        quantum_w: f64,
-    ) -> Vec<f64> {
-        self.split_signals(
-            global_cap_w,
-            demands,
-            &TreeSignals {
-                sla,
-                ..TreeSignals::default()
-            },
-            quantum_w,
-        )
-        .expect("without tier floors a tree split cannot fail")
     }
 
     /// Splits like [`BudgetTree::split_signals`], replaying clean
@@ -570,7 +539,7 @@ fn entry_matches(entry: &Entry, ctx: &AllocCtx<'_>, children: &[usize], budget_w
         if let Some(ref_sla) = &entry.ref_sla {
             // The materialized ratio is dimensionless; the dead-band still
             // applies, mirroring the flat cache's SLA comparison.
-            if !clean(ctx.agg_sla[c].signal().p99_s, ref_sla[k]) {
+            if !clean(ctx.agg_sla[c].signal().p99_s, ref_sla[k].p99_s) {
                 return false;
             }
         }
@@ -585,8 +554,9 @@ fn entry_matches(entry: &Entry, ctx: &AllocCtx<'_>, children: &[usize], budget_w
     true
 }
 
-/// Recursive allocation: replay a clean node's cached shares, or dispatch
-/// the discipline exactly as `BudgetNode::allocate` and cache the result.
+/// Recursive allocation: replay a clean node's cached shares, or split
+/// through [`split_caps`] exactly as `BudgetNode::allocate` does and cache
+/// the result.
 #[allow(clippy::too_many_arguments)]
 fn alloc(
     ctx: &AllocCtx<'_>,
@@ -635,45 +605,25 @@ fn alloc(
         *misses += 1;
         entries[id] = None;
         let ds: Vec<ServerDemand> = children.iter().map(|&c| ctx.agg_demand[c]).collect();
-        let computed = match (split, ctx.sla_present) {
-            (CapSplit::SlaAware, true) => {
-                let sigs: Vec<SlaSignal> =
-                    children.iter().map(|&c| ctx.agg_sla[c].signal()).collect();
-                split_caps_sla(budget_w, &ds, &sigs, ctx.quantum_w)
-            }
-            (CapSplit::CriticalPath, _) => {
-                let crit: Option<Vec<f64>> = ctx
-                    .crit_present
-                    .then(|| children.iter().map(|&c| ctx.agg_crit[c]).collect());
-                let floor_w: Option<Vec<f64>> = if ctx.tier_floor_frac > 0.0 {
-                    let n_active = ds.iter().filter(|d| d.active).count().max(1);
-                    let per = ctx.tier_floor_frac * budget_w / n_active as f64;
-                    Some(
-                        ds.iter()
-                            .map(|d| if d.active { per } else { 0.0 })
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
-                split_caps_critical(budget_w, &ds, crit.as_deref(), floor_w.as_deref())?
-            }
-            (s, _) => split_caps(s, budget_w, &ds, ctx.quantum_w),
+        let sla: Option<Vec<SlaSignal>> = ctx
+            .sla_present
+            .then(|| children.iter().map(|&c| ctx.agg_sla[c].signal()).collect());
+        let crit: Option<Vec<f64>> = ctx
+            .crit_present
+            .then(|| children.iter().map(|&c| ctx.agg_crit[c]).collect());
+        let signals = TreeSignals {
+            sla: sla.as_deref(),
+            crit: crit.as_deref(),
+            tier_floor_frac: ctx.tier_floor_frac,
         };
+        let computed = split_caps(split, budget_w, &ds, &signals, ctx.quantum_w)?;
         entries[id] = Some(Entry {
             budget_bits: budget_w.to_bits(),
             quantum_bits: ctx.quantum_w.to_bits(),
             tier_floor_bits: ctx.tier_floor_frac.to_bits(),
             ref_demands: ds,
-            ref_sla: ctx.sla_present.then(|| {
-                children
-                    .iter()
-                    .map(|&c| ctx.agg_sla[c].signal().p99_s)
-                    .collect()
-            }),
-            ref_crit: ctx
-                .crit_present
-                .then(|| children.iter().map(|&c| ctx.agg_crit[c]).collect()),
+            ref_sla: sla,
+            ref_crit: crit,
             shares: computed.clone(),
         });
         computed
@@ -710,6 +660,20 @@ mod tests {
 
     fn two_racks() -> BudgetTree {
         BudgetTree::parse("fleet:uniform[rack0:fastcap[a,b],rack1:fastcap[c,d]]").unwrap()
+    }
+
+    /// A split with SLA signals only, which cannot fail.
+    fn split(
+        h: &mut HierSplitter,
+        budget: f64,
+        demands: &[ServerDemand],
+        sla: Option<&[SlaSignal]>,
+    ) -> Vec<f64> {
+        let sig = TreeSignals {
+            sla,
+            ..TreeSignals::default()
+        };
+        h.split_signals(budget, demands, &sig, 1.0).unwrap()
     }
 
     const NAMES: [&str; 4] = ["a", "b", "c", "d"];
@@ -771,7 +735,7 @@ mod tests {
         ];
         for (step, (demands, sla)) in steps.iter().enumerate() {
             for budget in [100.0, 226.0, 400.0] {
-                let got = h.split(budget, demands, sla.as_deref(), 1.0);
+                let got = split(&mut h, budget, demands, sla.as_deref());
                 let names_ref: Vec<&str> = names.to_vec();
                 let want = t.split(budget, &names_ref, demands, sla.as_deref(), 1.0);
                 let gb: Vec<u64> = got.iter().map(|c| c.to_bits()).collect();
@@ -784,8 +748,8 @@ mod tests {
         // repeat can hit).
         let (demands, sla) = &steps[0];
         let hits = h.node_hits();
-        let first = h.split(226.0, demands, sla.as_deref(), 1.0);
-        let replay = h.split(226.0, demands, sla.as_deref(), 1.0);
+        let first = split(&mut h, 226.0, demands, sla.as_deref());
+        let replay = split(&mut h, 226.0, demands, sla.as_deref());
         assert_eq!(
             first.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
             replay.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
@@ -798,12 +762,12 @@ mod tests {
         let t = two_racks();
         let mut h = HierSplitter::compile(&t, &NAMES, 5.0);
         let base = vec![d(100.0, 30.0), d(90.0, 30.0), d(40.0, 10.0), d(40.0, 10.0)];
-        let first = h.split(200.0, &base, None, 1.0);
+        let first = split(&mut h, 200.0, &base, None);
         let cold = h.node_misses();
         // Nudge every demand by 1 W: all nodes stay inside the band and
         // replay the first allocation verbatim.
         let nudged = vec![d(101.0, 30.0), d(89.0, 30.0), d(41.0, 10.0), d(39.0, 10.0)];
-        let replayed = h.split(200.0, &nudged, None, 1.0);
+        let replayed = split(&mut h, 200.0, &nudged, None);
         assert_eq!(
             first.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
             replayed.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
@@ -827,7 +791,7 @@ mod tests {
         let t = two_racks();
         let mut h = HierSplitter::compile(&t, &NAMES, 2.0);
         let demands = vec![d(300.0, 40.0), d(300.0, 40.0), d(30.0, 10.0), d(30.0, 10.0)];
-        h.split(200.0, &demands, None, 1.0);
+        split(&mut h, 200.0, &demands, None);
         let (caps, trace, flags) = h
             .split_with_trace(200.0, &demands, &TreeSignals::default(), 1.0)
             .unwrap();
@@ -850,7 +814,7 @@ mod tests {
         let mut t = two_racks();
         let mut h = HierSplitter::compile(&t, &NAMES, 1.0);
         let demands = vec![d(100.0, 30.0), d(90.0, 30.0), d(40.0, 10.0), d(40.0, 10.0)];
-        h.split(200.0, &demands, None, 1.0);
+        split(&mut h, 200.0, &demands, None);
         // Churn inside rack1 only.
         assert!(t.remove_server("d"));
         let new_names = ["a", "b", "c"];
@@ -906,10 +870,10 @@ mod tests {
         let t = two_racks();
         let mut h = HierSplitter::compile(&t, &NAMES, 5.0);
         let demands = vec![d(100.0, 30.0), d(90.0, 30.0), d(40.0, 10.0), d(40.0, 10.0)];
-        h.split(200.0, &demands, None, 1.0);
+        split(&mut h, 200.0, &demands, None);
         h.invalidate();
         let misses = h.node_misses();
-        h.split(200.0, &demands, None, 1.0);
+        split(&mut h, 200.0, &demands, None);
         assert_eq!(h.node_misses(), misses + 3, "all groups recompute");
     }
 }

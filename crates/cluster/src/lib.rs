@@ -15,9 +15,10 @@
 //!    uncapped demand, its power floor, measured power, and completion
 //!    status.
 //! 2. The coordinator splits the global budget into per-server caps using
-//!    one of three disciplines ([`CapSplit`]): uniform,
-//!    demand-proportional, or FastCap-style marginal-utility greedy.
-//!    Finished servers return their share to the pool.
+//!    one of the [`CapSplit`] disciplines — uniform, demand-proportional,
+//!    FastCap-style marginal-utility greedy, SLA-aware, or critical-path —
+//!    all dispatched by [`split_caps`]. Finished servers return their
+//!    share to the pool.
 //! 3. Every server runs `epochs_per_round` epochs of the ordinary
 //!    profiling/decision/execution engine with `PowerCapPolicy` reading
 //!    its (freshly rewritten) cap.
@@ -31,6 +32,11 @@
 //! discipline over its children's aggregated telemetry, so a rack can be
 //! SLA-aware internally while pods share the fleet budget uniformly — see
 //! the [`tree`] module.
+//!
+//! Every coordinator splits through one [`FleetSplitter`]: a whole-fleet
+//! [`CapCache`] that replays the previous split while telemetry stays
+//! inside a dead-band, in front of either the flat dispatch or a compiled
+//! [`HierSplitter`] that replays clean subtrees node by node.
 //!
 //! All coordinator ↔ server traffic flows through a simulated **message
 //! plane** ([`ctrlplane`]): telemetry reports, cap grants, acks/nacks, and
@@ -78,19 +84,17 @@ pub use config::{
     synthetic_fleet, CapSplit, ChurnAction, ChurnEvent, ChurnSchedule, ClusterConfig, ServerSpec,
 };
 pub use coordinator::{
-    jain_index, split_caps, split_caps_critical, split_caps_fastcap_floored, split_caps_sla,
-    split_caps_sla_floored, ServerDemand, SlaSignal, SplitError,
+    jain_index, split_caps, split_caps_active, FleetSplitter, ServerDemand, SlaSignal, SplitError,
+    TreeSignals,
 };
 pub use ctrlplane::{
     CapGrant, ControlPlane, ControlStats, CtrlMsg, GrantOutcome, GrantRecord, Heartbeat,
     LeaseClient, LeaseEntry, LeaseLedger, PartitionSpec, ReplState, ResolvedRpc, RpcConfig,
 };
-pub use engine::{
-    split_caps_active, CapCache, EngineKind, FleetEngine, ShardedWakeQueue, WorkerPool,
-};
+pub use engine::{CapCache, EngineKind, FleetEngine, ShardedWakeQueue, WorkerPool};
 pub use hiercache::{HierSplitter, TracedSplit};
 pub use netsim::{LinkConfig, NodeId, PlaneStats};
 pub use server::{CappedPolicy, Server, ServerStatus, SharedCap};
 pub use sim::{run_cluster, ClusterResult, ClusterSim, ServerOutcome};
 pub use telemetry::TelemetrySlab;
-pub use tree::{BudgetNode, BudgetTree, GroupShare, TreeSignals};
+pub use tree::{BudgetNode, BudgetTree, GroupShare};

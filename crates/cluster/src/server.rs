@@ -58,9 +58,11 @@ impl Policy for CappedPolicy {
 
     fn decide(&mut self, model: &Model<'_>, current: &Plan) -> Plan {
         // Caps at or below zero mean "no budget granted"; run the floor
-        // plan rather than feeding PowerCapPolicy an invalid budget.
+        // plan rather than feeding PowerCapPolicy an invalid budget. A NaN
+        // cap is invalid too: `power > NaN` is false, so PowerCapPolicy
+        // would run the all-max plan uncapped.
         let cap_w = self.cap.get();
-        if cap_w <= 0.0 {
+        if cap_w.is_nan() || cap_w <= 0.0 {
             return Plan {
                 cores: vec![0; model.n_cores()],
                 mem: 0,
@@ -239,5 +241,25 @@ impl Server {
     /// Panics if the workload has not completed.
     pub fn finalize(self) -> RunResult {
         self.runner.finalize()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::synthetic_fleet;
+
+    #[test]
+    fn non_positive_or_nan_caps_run_the_floor_plan() {
+        let spec = synthetic_fleet(1, 0.0).remove(0);
+        for cap_w in [f64::NAN, 0.0, -5.0] {
+            let mut server = Server::new(&spec, cap_w);
+            server.step_round(1);
+            let plan = &server.runner.records().last().expect("one epoch ran").plan;
+            assert!(
+                plan.cores.iter().all(|&c| c == 0) && plan.mem == 0,
+                "cap {cap_w} W ran {plan:?}"
+            );
+        }
     }
 }

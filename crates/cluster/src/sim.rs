@@ -355,12 +355,11 @@ impl FleetEngine for RoundEngine {
 /// wake in a picosecond-ordered [`EventQueue`]; a server whose workload
 /// completes simply never re-enqueues, so barrier cost scales with the
 /// *active* fleet. Stepping runs on a persistent [`WorkerPool`] (no
-/// per-round thread spawns). The plane's coordinator routes flat splits
-/// over the compacted active set
-/// ([`split_caps_active`](crate::split_caps_active)) and skips the split
-/// outright — replaying the cached allocation — when no server's telemetry
-/// moved beyond the [`ClusterConfig::dead_band_w`] dead-band
-/// ([`CapCache`](crate::CapCache)).
+/// per-round thread spawns). The plane's coordinator splits through its
+/// [`FleetSplitter`](crate::FleetSplitter), which runs flat splits over
+/// the compacted active set and skips the split outright — replaying the
+/// cached allocation — when no server's telemetry moved beyond the
+/// [`ClusterConfig::dead_band_w`] dead-band.
 ///
 /// At the default zero dead-band the result is bit-identical to
 /// [`RoundEngine`]: a barrier exists exactly when some server is unfinished

@@ -33,9 +33,7 @@
 //! (ties break toward the first child), so tree-coordinated rounds keep the
 //! cluster/service layers' bit-exact thread-count invariance.
 
-use crate::coordinator::{
-    split_caps, split_caps_critical, split_caps_sla, ServerDemand, SlaSignal, SplitError,
-};
+use crate::coordinator::{split_caps, ServerDemand, SlaSignal, SplitError, TreeSignals};
 use crate::CapSplit;
 use std::collections::HashMap;
 
@@ -208,36 +206,21 @@ impl BudgetNode {
                 }
                 let ds: Vec<ServerDemand> =
                     children.iter().map(|c| c.aggregate_demand(ctx)).collect();
-                let shares = match (*split, ctx.sla) {
-                    (CapSplit::SlaAware, Some(_)) => {
-                        let sigs: Vec<SlaSignal> =
-                            children.iter().map(|c| c.aggregate_sla(ctx)).collect();
-                        split_caps_sla(budget_w, &ds, &sigs, ctx.quantum_w)
-                    }
-                    (CapSplit::CriticalPath, _) => {
-                        let crit: Option<Vec<f64>> = ctx
-                            .crit
-                            .map(|_| children.iter().map(|c| c.aggregate_crit(ctx)).collect());
-                        // Per-tier floors: an equal fraction of this node's
-                        // budget for every active child, raised to the
-                        // child's power floor inside the split. Infeasible
-                        // floor configs surface as a structured error
-                        // instead of silently clamping.
-                        let floor_w: Option<Vec<f64>> = if ctx.tier_floor_frac > 0.0 {
-                            let n_active = ds.iter().filter(|d| d.active).count().max(1);
-                            let per = ctx.tier_floor_frac * budget_w / n_active as f64;
-                            Some(
-                                ds.iter()
-                                    .map(|d| if d.active { per } else { 0.0 })
-                                    .collect(),
-                            )
-                        } else {
-                            None
-                        };
-                        split_caps_critical(budget_w, &ds, crit.as_deref(), floor_w.as_deref())?
-                    }
-                    (s, _) => split_caps(s, budget_w, &ds, ctx.quantum_w),
+                // The dispatch reads only the signals `split` declares.
+                let sla: Option<Vec<SlaSignal>> = ctx
+                    .signals
+                    .sla
+                    .map(|_| children.iter().map(|c| c.aggregate_sla(ctx)).collect());
+                let crit: Option<Vec<f64>> = ctx
+                    .signals
+                    .crit
+                    .map(|_| children.iter().map(|c| c.aggregate_crit(ctx)).collect());
+                let signals = TreeSignals {
+                    sla: sla.as_deref(),
+                    crit: crit.as_deref(),
+                    tier_floor_frac: ctx.signals.tier_floor_frac,
                 };
+                let shares = split_caps(*split, budget_w, &ds, &signals, ctx.quantum_w)?;
                 for (child, share) in children.iter().zip(shares) {
                     child.allocate(share, ctx, caps, trace.as_deref_mut())?;
                 }
@@ -286,9 +269,7 @@ pub struct GroupShare {
 struct SplitCtx<'a> {
     index: &'a HashMap<&'a str, usize>,
     demands: &'a [ServerDemand],
-    sla: Option<&'a [SlaSignal]>,
-    crit: Option<&'a [f64]>,
-    tier_floor_frac: f64,
+    signals: &'a TreeSignals<'a>,
     quantum_w: f64,
 }
 
@@ -305,7 +286,7 @@ impl SplitCtx<'_> {
     }
 
     fn sla_of(&self, name: &str) -> SlaSignal {
-        match self.sla {
+        match self.signals.sla {
             Some(s) => s[self.index_of(name)],
             None => SlaSignal {
                 p99_s: 0.0,
@@ -315,26 +296,11 @@ impl SplitCtx<'_> {
     }
 
     fn crit_of(&self, name: &str) -> f64 {
-        match self.crit {
+        match self.signals.crit {
             Some(c) => c[self.index_of(name)],
             None => 0.0,
         }
     }
-}
-
-/// Optional per-server signals driving signal-aware tree disciplines; the
-/// all-`None` default reproduces the signal-free [`BudgetTree::split`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TreeSignals<'a> {
-    /// Tail-latency telemetry, indexed like the fleet (SLA-aware nodes).
-    pub sla: Option<&'a [SlaSignal]>,
-    /// Windowed critical-path share per server — every member of a tier
-    /// carries its tier's share (critical-path nodes).
-    pub crit: Option<&'a [f64]>,
-    /// Per-tier floor under critical-path nodes: each active child of such
-    /// a node is floored at `tier_floor_frac × node budget / active
-    /// children`. Zero disables explicit floors (power floors still hold).
-    pub tier_floor_frac: f64,
 }
 
 /// A hierarchical budget topology over a server fleet.
@@ -433,9 +399,9 @@ impl BudgetTree {
 
     /// Splits `global_cap_w` over the fleet through the tree. `names` gives
     /// the fleet order; `demands` (and `sla`, when present) are indexed the
-    /// same way, as is the returned cap vector. Without SLA signals,
-    /// SLA-aware nodes degrade to the demand-saturating FastCap variant
-    /// (see [`split_caps`]).
+    /// same way, as is the returned cap vector. Every interior node divides
+    /// its budget through [`split_caps`]; without SLA signals, SLA-aware
+    /// nodes degrade to the demand-saturating FastCap variant.
     ///
     /// # Panics
     ///
@@ -484,25 +450,7 @@ impl BudgetTree {
         signals: &TreeSignals<'_>,
         quantum_w: f64,
     ) -> Result<Vec<f64>, SplitError> {
-        assert_eq!(names.len(), demands.len(), "one demand per server");
-        if let Some(s) = signals.sla {
-            assert_eq!(names.len(), s.len(), "one SLA signal per server");
-        }
-        if let Some(c) = signals.crit {
-            assert_eq!(names.len(), c.len(), "one crit share per server");
-        }
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let ctx = SplitCtx {
-            index: &index,
-            demands,
-            sla: signals.sla,
-            crit: signals.crit,
-            tier_floor_frac: signals.tier_floor_frac,
-            quantum_w,
-        };
-        let mut caps = vec![0.0; demands.len()];
-        self.root.allocate(global_cap_w, &ctx, &mut caps, None)?;
-        Ok(caps)
+        self.allocate(global_cap_w, names, demands, signals, quantum_w, None)
     }
 
     /// Like [`BudgetTree::split`], but also returns the share every
@@ -521,25 +469,50 @@ impl BudgetTree {
         sla: Option<&[SlaSignal]>,
         quantum_w: f64,
     ) -> (Vec<f64>, Vec<GroupShare>) {
+        let signals = TreeSignals {
+            sla,
+            ..TreeSignals::default()
+        };
+        let mut trace = Vec::new();
+        let caps = self
+            .allocate(
+                global_cap_w,
+                names,
+                demands,
+                &signals,
+                quantum_w,
+                Some(&mut trace),
+            )
+            .expect("without tier floors a tree split cannot fail");
+        (caps, trace)
+    }
+
+    fn allocate(
+        &self,
+        global_cap_w: f64,
+        names: &[&str],
+        demands: &[ServerDemand],
+        signals: &TreeSignals<'_>,
+        quantum_w: f64,
+        trace: Option<&mut Vec<GroupShare>>,
+    ) -> Result<Vec<f64>, SplitError> {
         assert_eq!(names.len(), demands.len(), "one demand per server");
-        if let Some(s) = sla {
+        if let Some(s) = signals.sla {
             assert_eq!(names.len(), s.len(), "one SLA signal per server");
+        }
+        if let Some(c) = signals.crit {
+            assert_eq!(names.len(), c.len(), "one crit share per server");
         }
         let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
         let ctx = SplitCtx {
             index: &index,
             demands,
-            sla,
-            crit: None,
-            tier_floor_frac: 0.0,
+            signals,
             quantum_w,
         };
         let mut caps = vec![0.0; demands.len()];
-        let mut trace = Vec::new();
-        self.root
-            .allocate(global_cap_w, &ctx, &mut caps, Some(&mut trace))
-            .expect("without tier floors a tree split cannot fail");
-        (caps, trace)
+        self.root.allocate(global_cap_w, &ctx, &mut caps, trace)?;
+        Ok(caps)
     }
 
     /// Attaches a new leaf server under the group labelled `group`, or
@@ -820,7 +793,14 @@ mod tests {
         let demands = [d(150.0, 40.0), d(90.0, 35.0), d(60.0, 30.0)];
         for budget in [110.0, 160.0, 250.0] {
             let tree_caps = t.split(budget, &names, &demands, None, 1.0);
-            let flat_caps = split_caps(CapSplit::FastCap, budget, &demands, 1.0);
+            let flat_caps = split_caps(
+                CapSplit::FastCap,
+                budget,
+                &demands,
+                &TreeSignals::default(),
+                1.0,
+            )
+            .unwrap();
             assert_eq!(tree_caps, flat_caps, "budget {budget}");
         }
     }

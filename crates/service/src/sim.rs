@@ -5,21 +5,21 @@
 //! Two [`FleetEngine`]s drive the horizon (selected by
 //! [`ServiceConfig::engine`]): the reference [`ServiceRoundEngine`] loops
 //! over round indices with scoped threads spawned afresh per round; the
-//! [`ServiceEventEngine`] pulls barriers off a picosecond-ordered wake
-//! queue, steps the fleet on a persistent [`WorkerPool`], and replays the
-//! previous cap split whenever no server's telemetry moved. Their results
-//! are digest-identical — see `tests/engine_equivalence.rs`.
+//! [`ServiceEventEngine`] steps the fleet on a persistent [`WorkerPool`]
+//! and lets its [`FleetSplitter`] replay the previous cap split within the
+//! configured dead-band. Both split through one `FleetSplitter` (pinned to
+//! a zero dead-band under the round engine), and their results are
+//! digest-identical — see `tests/engine_equivalence.rs`.
 
 use crate::config::{ClientModel, ServiceConfig};
 use crate::fluid::ClientEngine;
 use crate::queue::{ClientEvent, Request, Resolution};
 use crate::server::ServiceServer;
 use cluster::{
-    split_caps, split_caps_sla, BalancePolicy, BudgetNode, BudgetTree, CapCache, CapSplit,
-    ChurnAction, EngineKind, FleetEngine, LoadBalancer, ServerDemand, ServerLoad, SlaSignal,
-    TreeSignals, WorkerPool,
+    BalancePolicy, BudgetNode, BudgetTree, CapSplit, ChurnAction, EngineKind, FleetEngine,
+    FleetSplitter, LoadBalancer, ServerDemand, ServerLoad, SlaSignal, TreeSignals, WorkerPool,
 };
-use simkernel::{stats::Histogram, EventQueue, Ps};
+use simkernel::{stats::Histogram, Ps};
 use topology::{DagTracker, TierGraph, TraceCollector, TraceStats};
 
 /// One server's final accounting (final fleet members and churn departures
@@ -411,12 +411,10 @@ struct FleetRun {
     pool: Option<ClientEngine>,
     balancer: Option<LoadBalancer>,
     round_d: Ps,
-    // The event engine's cap-split replay; `None` under the round engine.
-    cache: Option<CapCache>,
-    // The event engine's per-node hierarchical replay cache; `None` under
-    // the round engine or without a topology. Rebound (not discarded) on
-    // churn, so sibling subtrees keep their cached allocations.
-    hier: Option<cluster::HierSplitter>,
+    // The cached cap splitter (zero dead-band under the round engine).
+    // Rebound, not discarded, on churn, so sibling subtrees keep their
+    // cached allocations.
+    splitter: FleetSplitter,
     // The multi-tier runtime: request DAGs, trace aggregation, the
     // end-to-end histogram. `None` without a tier topology.
     tiers: Option<TierRuntime>,
@@ -469,7 +467,7 @@ fn tier_members(graph: &TierGraph, servers: &[ServiceServer], tier: usize) -> Ve
 }
 
 impl FleetRun {
-    fn new(sim: ServiceSim, cache: Option<CapCache>) -> FleetRun {
+    fn new(sim: ServiceSim, engine: EngineKind) -> FleetRun {
         let ServiceSim { config, servers } = sim;
         let churn = config.churn.clone();
         let tiers = config.tiers.as_ref().map(|tc| {
@@ -517,17 +515,14 @@ impl FleetRun {
             .first()
             .map(|s| s.config.epoch * config.epochs_per_round as u64)
             .unwrap_or(Ps::ZERO);
-        let hier = match (&cache, &topology) {
-            (Some(_), Some(tree)) => {
-                let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
-                Some(cluster::HierSplitter::compile(
-                    tree,
-                    &names,
-                    config.dead_band_w,
-                ))
-            }
-            _ => None,
-        };
+        let names: Vec<&str> = servers.iter().map(|s| s.name.as_str()).collect();
+        let splitter = FleetSplitter::new(
+            config.split,
+            topology.as_ref(),
+            &names,
+            engine,
+            config.dead_band_w,
+        );
         FleetRun {
             config,
             servers,
@@ -540,8 +535,7 @@ impl FleetRun {
             pool,
             balancer,
             round_d,
-            cache,
-            hier,
+            splitter,
             tiers,
         }
     }
@@ -636,18 +630,11 @@ impl FleetRun {
             }
         }
         if churned {
-            // Membership (and possibly tree shape) changed: any cached
-            // whole-fleet allocation is for a different fleet.
-            if let Some(cache) = self.cache.as_mut() {
-                cache.invalidate();
-            }
-            // The hierarchical cache is *rebound*, not discarded: groups
+            // Membership (and possibly tree shape) changed: groups
             // structurally untouched by the churn (sibling racks/tiers)
-            // carry their cached allocations across the membership change.
-            if let (Some(h), Some(tree)) = (self.hier.as_mut(), &self.topology) {
-                let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
-                h.rebind(tree, &names);
-            }
+            // keep their cached allocations.
+            let names: Vec<&str> = self.servers.iter().map(|s| s.name.as_str()).collect();
+            self.splitter.rebind(self.topology.as_ref(), &names);
         }
         if self.servers.is_empty() {
             // Degenerate round: no caps, and no requests issued —
@@ -663,7 +650,7 @@ impl FleetRun {
             self.servers.iter_mut().map(ServiceServer::demand).collect();
         // SLA signals feed the split when latency matters to it: under a
         // topology (interior nodes may be SLA-aware) or flat SlaAware.
-        let signals: Option<Vec<SlaSignal>> = (self.topology.is_some()
+        let sla: Option<Vec<SlaSignal>> = (self.topology.is_some()
             || self.config.split == CapSplit::SlaAware)
             .then(|| self.servers.iter().map(ServiceServer::sla_signal).collect());
         // Critical-path shares per server: every member of a tier carries
@@ -679,64 +666,24 @@ impl FleetRun {
                 .collect()
         });
         let tier_floor_frac = self.tiers.as_ref().map_or(0.0, |t| t.floor_frac);
-        let cached = self
-            .cache
-            .as_mut()
-            .and_then(|c| c.lookup(&demands, signals.as_deref(), crit.as_deref()));
-        let caps = cached.unwrap_or_else(|| {
-            let caps = match (&self.topology, self.config.split) {
-                (Some(tree), _) => {
-                    // Hierarchical: the budget flows down the tree with
-                    // power, latency and critical-path telemetry, so
-                    // SLA-aware interior nodes react to their subtree's
-                    // worst violation ratio and critical-path nodes shift
-                    // budget toward the slowest tier. The event engine
-                    // routes this through the compiled per-node replay
-                    // cache (bit-identical at a zero dead-band).
-                    let sig = TreeSignals {
-                        sla: signals.as_deref(),
-                        crit: crit.as_deref(),
-                        tier_floor_frac,
-                    };
-                    match self.hier.as_mut() {
-                        Some(h) => h.split_signals(
-                            self.config.global_cap_w,
-                            &demands,
-                            &sig,
-                            self.config.quantum_w,
-                        ),
-                        None => {
-                            let names: Vec<&str> =
-                                self.servers.iter().map(|s| s.name.as_str()).collect();
-                            tree.split_signals(
-                                self.config.global_cap_w,
-                                &names,
-                                &demands,
-                                &sig,
-                                self.config.quantum_w,
-                            )
-                        }
-                    }
-                    .unwrap_or_else(|e| panic!("budget tree split: {e}"))
-                }
-                (None, CapSplit::SlaAware) => split_caps_sla(
-                    self.config.global_cap_w,
-                    &demands,
-                    signals.as_deref().expect("SlaAware computes signals"),
-                    self.config.quantum_w,
-                ),
-                (None, split) => split_caps(
-                    split,
-                    self.config.global_cap_w,
-                    &demands,
-                    self.config.quantum_w,
-                ),
-            };
-            if let Some(cache) = self.cache.as_mut() {
-                cache.store(&demands, signals.as_deref(), crit.as_deref(), &caps);
-            }
-            caps
-        });
+        // Under a topology the budget flows down the tree with power,
+        // latency and critical-path telemetry, so SLA-aware interior nodes
+        // react to their subtree's worst violation ratio and critical-path
+        // nodes shift budget toward the slowest tier.
+        let signals = TreeSignals {
+            sla: sla.as_deref(),
+            crit: crit.as_deref(),
+            tier_floor_frac,
+        };
+        let caps = self
+            .splitter
+            .split(
+                self.config.global_cap_w,
+                &demands,
+                &signals,
+                self.config.quantum_w,
+            )
+            .unwrap_or_else(|e| panic!("budget split: {e}"));
         for (server, &cap) in self.servers.iter_mut().zip(&caps) {
             server.set_cap(cap);
         }
@@ -939,7 +886,7 @@ impl FleetEngine for ServiceRoundEngine {
         let epochs = self.0.config.epochs_per_round;
         let threads = self.0.config.threads;
         let rounds = self.0.config.rounds;
-        let mut run = FleetRun::new(self.0, None);
+        let mut run = FleetRun::new(self.0, EngineKind::Round);
         let mut step = |servers: &mut Vec<ServiceServer>| {
             if threads == 1 {
                 for server in servers.iter_mut() {
@@ -965,14 +912,13 @@ impl FleetEngine for ServiceRoundEngine {
     }
 }
 
-/// The wake-driven engine: barriers are events on a picosecond-ordered
-/// [`EventQueue`] keyed by the fleet clock (each barrier schedules its
-/// successor until the horizon), the fleet steps on a persistent
-/// [`WorkerPool`], and the cap split is replayed from [`CapCache`] whenever
-/// no telemetry moved beyond [`ServiceConfig::dead_band_w`]. Unlike the
-/// batch cluster, serving servers never finish — the wins here are the
-/// pool (no per-round thread spawns) and the replay; at the default zero
-/// dead-band the digest is identical to [`ServiceRoundEngine`]'s.
+/// The pooled engine: the fleet steps on a persistent [`WorkerPool`], and
+/// the cap split is replayed by the [`FleetSplitter`] whenever no telemetry
+/// moved beyond [`ServiceConfig::dead_band_w`]. Unlike the batch cluster,
+/// serving servers never finish, so every round is a barrier — the wins
+/// here are the pool (no per-round thread spawns) and the replay; at the
+/// default zero dead-band the digest is identical to
+/// [`ServiceRoundEngine`]'s.
 pub struct ServiceEventEngine(pub ServiceSim);
 
 impl FleetEngine for ServiceEventEngine {
@@ -986,8 +932,7 @@ impl FleetEngine for ServiceEventEngine {
         let epochs = self.0.config.epochs_per_round;
         let threads = self.0.config.threads;
         let rounds = self.0.config.rounds;
-        let cache = CapCache::new(self.0.config.dead_band_w);
-        let mut run = FleetRun::new(self.0, Some(cache));
+        let mut run = FleetRun::new(self.0, EngineKind::Event);
         let pool = (threads > 1)
             .then(|| WorkerPool::new(threads, move |s: &mut ServiceServer| s.step_round(epochs)));
         let mut step = |servers: &mut Vec<ServiceServer>| match &pool {
@@ -1012,19 +957,10 @@ impl FleetEngine for ServiceEventEngine {
                 }
             }
         };
-        // The wake queue: barrier `r` fires at the fleet clock `r·D` and
-        // schedules barrier `r+1` — wake-driven, but with the exact round
-        // semantics of the reference loop (barriers fire even for an
-        // empty fleet, which may refill through churn).
-        let mut queue: EventQueue<usize> = EventQueue::new();
-        if rounds > 0 {
-            queue.push(Ps::ZERO, 0);
-        }
-        while let Some((_, round)) = queue.pop() {
+        // Barriers fire at every round, even for an empty fleet (which may
+        // refill through churn), in the reference loop's order.
+        for round in 0..rounds {
             run.barrier(round, &mut step);
-            if round + 1 < rounds {
-                queue.push(run.global_time(round + 1), round + 1);
-            }
         }
         run.finish()
     }

@@ -24,6 +24,8 @@ step "cargo clippy (deny warnings)" \
     cargo clippy --workspace --all-targets --offline -- -D warnings
 step "cargo test" cargo test -q --workspace --offline
 step "cargo test --release" cargo test -q --workspace --offline --release
+step "perfbench tests (release)" \
+    cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 step "cargo doc (deny warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 step "fleet-scale-ns gate" ./scripts/fleet_scale_gate.sh

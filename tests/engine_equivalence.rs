@@ -8,10 +8,12 @@
 //! 1. property tests sweeping fleet size, cap split, churn, topology,
 //!    balancer, and open/closed loop, asserting digest equality between
 //!    `--engine round` and `--engine event` at 1, 2, 4, and 8 threads;
-//! 2. property tests pinning the hierarchical cap cache (`HierSplitter`)
-//!    to `BudgetTree`: bit-identical caps and `GroupShare` transcripts at
-//!    a zero dead-band, and dirty-subtree recompute blended with clean
-//!    replay matching a full recompute at any band;
+//! 2. property tests pinning the cached splitters (`HierSplitter` and the
+//!    `FleetSplitter` both coordinators hold) to `BudgetTree` and the flat
+//!    `split_caps` dispatch: bit-identical caps and `GroupShare`
+//!    transcripts at a zero dead-band, across churn, and dirty-subtree
+//!    recompute blended with clean replay matching a full recompute at any
+//!    band;
 //! 3. pinned golden digests for the four fleet-level bench experiments
 //!    (cluster capping, serving SLOs, hierarchical budgets, closed-loop
 //!    balancing), so a drift in *either* engine is loud;
@@ -19,8 +21,9 @@
 //!    for the nightly `--release -- --ignored` job.
 
 use cluster::{
-    run_cluster, synthetic_fleet, BudgetNode, BudgetTree, ClusterConfig, EngineKind, GroupShare,
-    HierSplitter, PartitionSpec, RpcConfig, ServerDemand, ServerSpec, SlaSignal, TreeSignals,
+    run_cluster, split_caps, synthetic_fleet, BudgetNode, BudgetTree, ClusterConfig, EngineKind,
+    FleetSplitter, GroupShare, HierSplitter, PartitionSpec, RpcConfig, ServerDemand, ServerSpec,
+    SlaSignal, SplitError, TreeSignals,
 };
 use proptest::prelude::*;
 use service::{
@@ -409,6 +412,14 @@ fn assert_traces_match(label: &str, got: &[GroupShare], want: &[GroupShare]) {
     }
 }
 
+/// A split's caps as bit patterns (errors compare as themselves).
+fn split_bits(split: &Result<Vec<f64>, SplitError>) -> Result<Vec<u64>, SplitError> {
+    split
+        .as_ref()
+        .map(|caps| caps.iter().map(|c| c.to_bits()).collect())
+        .map_err(|e| *e)
+}
+
 /// FNV-1a over the caps' bit patterns — the "digest" the replay claims are
 /// stated in.
 fn caps_digest(caps: &[f64]) -> u64 {
@@ -422,34 +433,78 @@ fn caps_digest(caps: &[f64]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// At a zero dead-band the hierarchical cache is a pure function: caps
-    /// and the full `GroupShare` transcript bit-match `BudgetTree` for any
-    /// discipline mix and telemetry sequence — and repeating a step
-    /// verbatim must *replay* every node yet still bit-match a fresh split
-    /// of that same telemetry.
+    /// At a zero dead-band the cached splitters are pure functions. The
+    /// hierarchical cache's caps and full `GroupShare` transcript bit-match
+    /// `BudgetTree` for any discipline mix and telemetry sequence, and
+    /// repeating a step verbatim must *replay* every node yet still
+    /// bit-match a fresh split of that same telemetry. The `FleetSplitter`
+    /// both coordinators hold — over the same tree, or over a flat fleet —
+    /// bit-matches `BudgetTree::split_signals` / `split_caps` under SLA
+    /// signals, critical-path shares and per-tier floors (failing exactly
+    /// when they do), and again after a churn `rebind`.
     #[test]
     fn hier_cache_bit_matches_the_tree_at_zero_dead_band(
         seed in any::<u64>(),
         n in 4usize..9,
-        root in 0u8..3,
+        root in 0u8..5,
         r0 in 0u8..5,
         r1 in 0u8..5,
         steps in 2usize..6,
+        flat in any::<bool>(),
+        floor_sel in 0u8..3,
     ) {
-        let (tree, names) = two_rack_tree(
+        let (mut tree, mut names) = two_rack_tree(
             n,
             GROUP_SPLITS[root as usize],
             GROUP_SPLITS[r0 as usize],
             GROUP_SPLITS[r1 as usize],
         );
+        let tier_floor_frac = [0.0, 0.3, 0.8][floor_sel as usize];
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let mut h = HierSplitter::compile(&tree, &name_refs, 0.0);
+        // The flat fleet splits with rack0's discipline.
+        let flat_split = GROUP_SPLITS[r0 as usize];
+        let topology = (!flat).then_some(&tree);
+        let mut fleet =
+            FleetSplitter::new(flat_split, topology, &name_refs, EngineKind::Event, 0.0);
         let mut rng = SimRng::new(seed);
-        for step in 0..steps {
-            let (demands, sla) = random_telemetry(&mut rng, n);
-            let budget = 40.0 * n as f64 * (0.5 + rng.f64());
-            let sig = TreeSignals { sla: Some(&sla), ..TreeSignals::default() };
-            let (caps, trace, _) = h.split_with_trace(budget, &demands, &sig, 0.5).unwrap();
+        for step in 0..=steps {
+            let m = names.len();
+            let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let (demands, sla) = random_telemetry(&mut rng, m);
+            let crit: Vec<f64> = (0..m).map(|_| rng.f64()).collect();
+            let budget = 40.0 * m as f64 * (0.5 + rng.f64());
+            let sla_only = TreeSignals { sla: Some(&sla), ..TreeSignals::default() };
+            let full = TreeSignals { sla: Some(&sla), crit: Some(&crit), tier_floor_frac };
+
+            // The fleet splitter, verbatim repeat included (a CapCache
+            // replay), against the uncached reference.
+            let want = if flat {
+                split_caps(flat_split, budget, &demands, &full, 0.5)
+            } else {
+                tree.split_signals(budget, &name_refs, &demands, &full, 0.5)
+            };
+            for pass in ["fresh", "repeat"] {
+                let got = fleet.split(budget, &demands, &full, 0.5);
+                prop_assert_eq!(
+                    split_bits(&got),
+                    split_bits(&want),
+                    "step {} {}: fleet splitter vs reference",
+                    step,
+                    pass
+                );
+            }
+            if step == steps {
+                break;
+            }
+
+            // The hierarchical cache with crit shares and tier floors.
+            let got = h.split_signals(budget, &demands, &full, 0.5);
+            let want = tree.split_signals(budget, &name_refs, &demands, &full, 0.5);
+            prop_assert_eq!(split_bits(&got), split_bits(&want), "step {} hier full", step);
+
+            // And with SLA signals alone, transcript included.
+            let (caps, trace, _) = h.split_with_trace(budget, &demands, &sla_only, 0.5).unwrap();
             let (want, want_trace) =
                 tree.split_trace(budget, &name_refs, &demands, Some(&sla), 0.5);
             for (i, (a, b)) in caps.iter().zip(&want).enumerate() {
@@ -459,13 +514,22 @@ proptest! {
             // The verbatim repeat must be served by replay alone …
             let hits = h.node_hits();
             let (again, trace2, replayed) =
-                h.split_with_trace(budget, &demands, &sig, 0.5).unwrap();
+                h.split_with_trace(budget, &demands, &sla_only, 0.5).unwrap();
             prop_assert!(replayed.iter().all(|&r| r), "step {}: {:?}", step, replayed);
             prop_assert!(h.node_hits() > hits, "step {} repeat missed the cache", step);
             // … and every replayed node's `GroupShare` must still equal a
             // fresh split of the same telemetry.
             prop_assert_eq!(caps_digest(&again), caps_digest(&caps), "step {} replay caps", step);
             assert_traces_match(&format!("step {step} replay"), &trace2, &want_trace);
+
+            // Before the last step, churn one server out of rack1; the
+            // final step then splits the shrunken fleet.
+            if step + 1 == steps {
+                let gone = names.pop().expect("fleet is non-empty");
+                prop_assert!(tree.remove_server(&gone));
+                let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+                fleet.rebind((!flat).then_some(&tree), &name_refs);
+            }
         }
     }
 
