@@ -48,10 +48,30 @@ pub struct ServerDemand {
 }
 
 impl ServerDemand {
+    /// Whether both readings are finite and non-negative.
+    fn is_sane(&self) -> bool {
+        sane_w(self.demand_w) && sane_w(self.min_w)
+    }
+
+    /// This demand with each non-finite or negative reading set to 0 W.
+    fn sanitised(&self) -> ServerDemand {
+        let clean = |w: f64| if sane_w(w) { w } else { 0.0 };
+        ServerDemand {
+            demand_w: clean(self.demand_w),
+            min_w: clean(self.min_w),
+            active: self.active,
+        }
+    }
+
     /// Demand headroom above the floor, clamped non-negative.
     fn headroom(&self) -> f64 {
         (self.demand_w - self.min_w).max(0.0)
     }
+}
+
+/// Whether a power reading is usable: finite and non-negative.
+fn sane_w(w: f64) -> bool {
+    w.is_finite() && w >= 0.0
 }
 
 /// Optional per-child signals for the signal-aware disciplines, indexed
@@ -79,6 +99,9 @@ pub struct TreeSignals<'a> {
 /// leftover unspent; critical-path reads `signals.crit` and turns
 /// `signals.tier_floor_frac` into per-child floors; the rest read none.
 ///
+/// Telemetry is untrusted: a non-finite or negative `demand_w` or `min_w`
+/// is read as 0 W, so one garbage report cannot turn a cap into NaN.
+///
 /// The returned caps sum to at most `global_cap_w` (up to rounding in the
 /// last FastCap quantum) and are zero for inactive servers. When the
 /// budget cannot even cover every active server's power floor, floors are
@@ -100,6 +123,13 @@ pub fn split_caps(
     signals: &TreeSignals<'_>,
     quantum_w: f64,
 ) -> Result<Vec<f64>, SplitError> {
+    let sanitised: Vec<ServerDemand>;
+    let demands = if demands.iter().all(ServerDemand::is_sane) {
+        demands
+    } else {
+        sanitised = demands.iter().map(ServerDemand::sanitised).collect();
+        &sanitised
+    };
     let n_active = demands.iter().filter(|d| d.active).count();
     if n_active == 0 {
         return Ok(vec![0.0; demands.len()]);
@@ -789,6 +819,51 @@ mod tests {
         ] {
             let caps = flat(split, 60.0, &ds, 1.0);
             assert!(caps.iter().sum::<f64>() <= 60.0 + 1e-9, "{split}: {caps:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_or_negative_telemetry_yields_finite_caps_within_budget() {
+        let bad = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -5.0];
+        let budget = 300.0;
+        let sla_sigs = [sla(2e-3, 1e-3), sla(5e-4, 1e-3), sla(0.0, 1e-3)];
+        let crit = [0.5, 0.3, 0.2];
+        for &x in &bad {
+            for ds in [
+                vec![d(x, 30.0), d(120.0, 30.0), d(80.0, 20.0)],
+                vec![d(150.0, x), d(120.0, 30.0), d(80.0, 20.0)],
+                vec![d(x, x), d(120.0, x), d(x, 20.0)],
+            ] {
+                let n = ds.len() as f64;
+                for split in [
+                    CapSplit::Uniform,
+                    CapSplit::DemandProportional,
+                    CapSplit::FastCap,
+                    CapSplit::SlaAware,
+                    CapSplit::CriticalPath,
+                ] {
+                    for signals in [
+                        TreeSignals::default(),
+                        TreeSignals {
+                            sla: Some(&sla_sigs),
+                            crit: Some(&crit),
+                            tier_floor_frac: 0.3,
+                        },
+                    ] {
+                        let caps = split_caps(split, budget, &ds, &signals, 1.0).unwrap();
+                        assert!(
+                            caps.iter().all(|c| c.is_finite()),
+                            "{split} with {x}: {caps:?}"
+                        );
+                        // Fails on a NaN sum too, unlike `!(sum > bound)`.
+                        let sum: f64 = caps.iter().sum();
+                        assert!(
+                            sum <= budget + n * f64::EPSILON * budget,
+                            "{split} with {x}: caps {caps:?} sum {sum} over {budget}"
+                        );
+                    }
+                }
+            }
         }
     }
 

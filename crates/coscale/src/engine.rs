@@ -10,6 +10,7 @@ use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome};
 use powermodel::{system_power, MemGeometry, SystemPower};
 use simkernel::{EventQueue, Freq, Ps};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Events flowing through the engine's queue.
 #[derive(Clone, Copy, Debug)]
@@ -35,7 +36,9 @@ struct ReadInfo {
 /// checkpoints the whole system, looks one epoch ahead, and rewinds.
 #[derive(Clone)]
 pub struct System {
-    config: SimConfig,
+    /// Shared and immutable, so checkpoints and the runner's per-epoch
+    /// handle cost a reference count, not a deep copy.
+    config: Arc<SimConfig>,
     cores: Vec<CoreSim>,
     core_gen: Vec<u64>,
     l2: L2Cache,
@@ -105,7 +108,7 @@ impl System {
         }
         let plan = Plan::max(n, config.core_freqs.len(), config.mem.freq_grid.len());
         System {
-            config,
+            config: Arc::new(config),
             core_gen: vec![0; n],
             completion: vec![None; n],
             cores,
@@ -624,7 +627,7 @@ impl Runner {
         if self.sys.all_done() {
             return;
         }
-        let cfg = self.sys.config.clone();
+        let cfg = Arc::clone(&self.sys.config);
         let n = cfg.cores;
         let epoch = self.epoch;
         assert!(

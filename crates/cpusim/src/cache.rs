@@ -110,28 +110,45 @@ pub enum Access {
     Miss,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    prefetched: bool,
-    lru: u64,
+// Way flag bits; the line address sits above them.
+const PREFETCHED: u64 = 1 << 0;
+const DIRTY: u64 = 1 << 1;
+const VALID: u64 = 1 << 2;
+const FLAG_BITS: u32 = 3;
+
+/// The word of a valid, clean, demand-filled way holding `line`.
+///
+/// # Panics
+///
+/// Panics if `line` does not fit in the 61 address bits of a way.
+#[inline]
+fn key(line: LineAddr) -> u64 {
+    assert!(
+        line.0 >> (64 - FLAG_BITS) == 0,
+        "line address {:#x} does not fit in 61 bits",
+        line.0
+    );
+    (line.0 << FLAG_BITS) | VALID
 }
 
-const INVALID: Way = Way {
-    tag: 0,
-    valid: false,
-    dirty: false,
-    prefetched: false,
-    lru: 0,
-};
+/// Whether way word `w` holds the line of `key`, whatever its dirty and
+/// prefetched bits. An invalid (all-zero) way never matches.
+#[inline]
+fn holds(w: u64, key: u64) -> bool {
+    w & !(DIRTY | PREFETCHED) == key
+}
 
 /// A set-associative writeback LRU cache over [`LineAddr`]s.
 ///
 /// The set index is hash-folded from the full line address so that each
 /// core's private footprint (cores own disjoint high-order address slices)
 /// spreads over all sets instead of aliasing into the low sets.
+///
+/// Each way is one `u64`: bit 0 prefetched, bit 1 dirty, bit 2 valid, and
+/// the line address above them; an all-zero word is an invalid way. A set
+/// keeps its ways most recent first with the invalid ways at the tail, so
+/// the LRU victim is always the last way and no timestamps are stored.
+/// Line addresses must fit in 61 bits.
 ///
 /// # Example
 ///
@@ -147,10 +164,8 @@ const INVALID: Way = Way {
 #[derive(Clone, Debug)]
 pub struct L2Cache {
     config: CacheConfig,
-    sets: Vec<Way>,
+    ways: Vec<u64>,
     set_mask: u64,
-    ways: usize,
-    stamp: u64,
     stats: CacheStats,
 }
 
@@ -164,10 +179,10 @@ impl L2Cache {
         let sets = config.sets();
         L2Cache {
             config,
-            sets: vec![INVALID; sets * config.ways],
+            // All-zero is the invalid way, so the allocator's zeroed pages
+            // are an empty cache.
+            ways: vec![0u64; sets * config.ways],
             set_mask: sets as u64 - 1,
-            ways: config.ways,
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -191,45 +206,44 @@ impl L2Cache {
     }
 
     #[inline]
-    fn set_slice_mut(&mut self, idx: usize) -> &mut [Way] {
-        let start = idx * self.ways;
-        &mut self.sets[start..start + self.ways]
+    fn set(&self, line: LineAddr) -> &[u64] {
+        let start = self.set_index(line) * self.config.ways;
+        &self.ways[start..start + self.config.ways]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, line: LineAddr) -> &mut [u64] {
+        let start = self.set_index(line) * self.config.ways;
+        &mut self.ways[start..start + self.config.ways]
     }
 
     /// Performs a demand access. On a hit the line's LRU position is
     /// refreshed and, for stores, the dirty bit set. On a miss nothing is
     /// installed — fetch the line and call [`L2Cache::fill`].
     pub fn access(&mut self, line: LineAddr, is_store: bool) -> Access {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let idx = self.set_index(line);
-        let set = self.set_slice_mut(idx);
-        for way in set.iter_mut() {
-            if way.valid && way.tag == line.0 {
-                way.lru = stamp;
-                way.dirty |= is_store;
-                let first_use = way.prefetched;
-                way.prefetched = false;
-                self.stats.hits += 1;
-                if first_use {
-                    self.stats.prefetch_useful += 1;
-                }
-                return Access::Hit {
-                    first_use_of_prefetch: first_use,
-                };
-            }
+        let key = key(line);
+        let set = self.set_mut(line);
+        let Some(i) = set.iter().position(|&w| holds(w, key)) else {
+            self.stats.misses += 1;
+            return Access::Miss;
+        };
+        let w = set[i];
+        let first_use = w & PREFETCHED != 0;
+        set.copy_within(..i, 1);
+        set[0] = (w & !PREFETCHED) | if is_store { DIRTY } else { 0 };
+        self.stats.hits += 1;
+        if first_use {
+            self.stats.prefetch_useful += 1;
         }
-        self.stats.misses += 1;
-        Access::Miss
+        Access::Hit {
+            first_use_of_prefetch: first_use,
+        }
     }
 
     /// Whether `line` is currently resident (no LRU/stat side effects).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        let start = idx * self.ways;
-        self.sets[start..start + self.ways]
-            .iter()
-            .any(|w| w.valid && w.tag == line.0)
+        let key = key(line);
+        self.set(line).iter().any(|&w| holds(w, key))
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Returns the
@@ -238,44 +252,33 @@ impl L2Cache {
     /// `dirty` marks the fill itself dirty (store miss); `prefetched` tags
     /// the line for prefetch-accuracy accounting.
     pub fn fill(&mut self, line: LineAddr, dirty: bool, prefetched: bool) -> Option<LineAddr> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let idx = self.set_index(line);
-        let set = self.set_slice_mut(idx);
+        let key = key(line);
+        let dirty_bit = if dirty { DIRTY } else { 0 };
+        let set = self.set_mut(line);
 
         // Already present (e.g. a demand fill racing a prefetch fill):
         // merge flags rather than duplicating the line.
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == line.0) {
-            way.dirty |= dirty;
-            way.lru = stamp;
+        if let Some(i) = set.iter().position(|&w| holds(w, key)) {
+            let w = set[i];
+            set.copy_within(..i, 1);
+            set[0] = w | dirty_bit;
             return None;
         }
 
-        let victim = match set.iter_mut().find(|w| !w.valid) {
-            Some(way) => way,
-            None => set
-                .iter_mut()
-                .min_by_key(|w| w.lru)
-                .expect("ways > 0 by construction"),
-        };
-
-        let evicted = *victim;
-        *victim = Way {
-            tag: line.0,
-            valid: true,
-            dirty,
-            prefetched,
-            lru: stamp,
-        };
+        // The last way is invalid if any is, else the least recently used.
+        let last = set.len() - 1;
+        let evicted = set[last];
+        set.copy_within(..last, 1);
+        set[0] = key | dirty_bit | if prefetched { PREFETCHED } else { 0 };
 
         let mut writeback = None;
-        if evicted.valid {
-            if evicted.prefetched {
+        if evicted & VALID != 0 {
+            if evicted & PREFETCHED != 0 {
                 self.stats.prefetch_unused += 1;
             }
-            if evicted.dirty {
+            if evicted & DIRTY != 0 {
                 self.stats.writebacks += 1;
-                writeback = Some(LineAddr(evicted.tag));
+                writeback = Some(LineAddr(evicted >> FLAG_BITS));
             }
         }
         if prefetched {
@@ -419,7 +422,267 @@ mod tests {
         let c = CacheConfig::default();
         assert_eq!(c.sets(), 16_384);
         let cache = L2Cache::new(c);
-        assert_eq!(cache.sets.len(), 16_384 * 16);
+        assert_eq!(cache.ways.len(), 16_384 * 16);
+    }
+
+    #[test]
+    fn tag_store_is_one_word_per_way() {
+        let cache = L2Cache::new(CacheConfig::default());
+        assert_eq!(
+            std::mem::size_of_val(cache.ways.as_slice()),
+            8 * 16_384 * 16
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in 61 bits")]
+    fn line_beyond_61_bits_panics() {
+        let mut c = tiny();
+        let _ = c.fill(LineAddr(1 << 61), false, false);
+    }
+
+    #[test]
+    fn widest_line_round_trips() {
+        let mut c = tiny();
+        let top = LineAddr((1 << 61) - 1);
+        assert_eq!(c.fill(top, true, false), None);
+        assert!(c.contains(top));
+        let target = c.set_index(top);
+        let lines: Vec<LineAddr> = (0u64..)
+            .map(LineAddr)
+            .filter(|l| c.set_index(*l) == target)
+            .take(2)
+            .collect();
+        // The first fill takes the free way; the second evicts `top`.
+        let wbs: Vec<_> = lines.iter().map(|&l| c.fill(l, false, false)).collect();
+        assert_eq!(wbs, vec![None, Some(top)]);
+    }
+
+    /// The stamp-based tag store this cache replaced, its logic kept
+    /// verbatim, as the reference model for the differential test: 24-byte
+    /// ways with a per-way LRU stamp, first-invalid then minimum-stamp
+    /// victim choice.
+    mod reference {
+        use super::super::{Access, CacheConfig, CacheStats};
+        use memsim::LineAddr;
+
+        #[derive(Clone, Copy, Debug)]
+        struct Way {
+            tag: u64,
+            valid: bool,
+            dirty: bool,
+            prefetched: bool,
+            lru: u64,
+        }
+
+        const INVALID: Way = Way {
+            tag: 0,
+            valid: false,
+            dirty: false,
+            prefetched: false,
+            lru: 0,
+        };
+
+        #[derive(Clone, Debug)]
+        pub struct L2Cache {
+            sets: Vec<Way>,
+            set_mask: u64,
+            ways: usize,
+            stamp: u64,
+            stats: CacheStats,
+        }
+
+        impl L2Cache {
+            pub fn new(config: CacheConfig) -> Self {
+                let sets = config.sets();
+                L2Cache {
+                    sets: vec![INVALID; sets * config.ways],
+                    set_mask: sets as u64 - 1,
+                    ways: config.ways,
+                    stamp: 0,
+                    stats: CacheStats::default(),
+                }
+            }
+
+            pub fn stats(&self) -> &CacheStats {
+                &self.stats
+            }
+
+            #[inline]
+            fn set_index(&self, line: LineAddr) -> usize {
+                let x = line.0;
+                ((x ^ (x >> 14) ^ (x >> 28) ^ (x >> 42)) & self.set_mask) as usize
+            }
+
+            #[inline]
+            fn set_slice_mut(&mut self, idx: usize) -> &mut [Way] {
+                let start = idx * self.ways;
+                &mut self.sets[start..start + self.ways]
+            }
+
+            pub fn access(&mut self, line: LineAddr, is_store: bool) -> Access {
+                self.stamp += 1;
+                let stamp = self.stamp;
+                let idx = self.set_index(line);
+                let set = self.set_slice_mut(idx);
+                for way in set.iter_mut() {
+                    if way.valid && way.tag == line.0 {
+                        way.lru = stamp;
+                        way.dirty |= is_store;
+                        let first_use = way.prefetched;
+                        way.prefetched = false;
+                        self.stats.hits += 1;
+                        if first_use {
+                            self.stats.prefetch_useful += 1;
+                        }
+                        return Access::Hit {
+                            first_use_of_prefetch: first_use,
+                        };
+                    }
+                }
+                self.stats.misses += 1;
+                Access::Miss
+            }
+
+            pub fn contains(&self, line: LineAddr) -> bool {
+                let idx = self.set_index(line);
+                let start = idx * self.ways;
+                self.sets[start..start + self.ways]
+                    .iter()
+                    .any(|w| w.valid && w.tag == line.0)
+            }
+
+            pub fn fill(
+                &mut self,
+                line: LineAddr,
+                dirty: bool,
+                prefetched: bool,
+            ) -> Option<LineAddr> {
+                self.stamp += 1;
+                let stamp = self.stamp;
+                let idx = self.set_index(line);
+                let set = self.set_slice_mut(idx);
+
+                if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == line.0) {
+                    way.dirty |= dirty;
+                    way.lru = stamp;
+                    return None;
+                }
+
+                let victim = match set.iter_mut().find(|w| !w.valid) {
+                    Some(way) => way,
+                    None => set
+                        .iter_mut()
+                        .min_by_key(|w| w.lru)
+                        .expect("ways > 0 by construction"),
+                };
+
+                let evicted = *victim;
+                *victim = Way {
+                    tag: line.0,
+                    valid: true,
+                    dirty,
+                    prefetched,
+                    lru: stamp,
+                };
+
+                let mut writeback = None;
+                if evicted.valid {
+                    if evicted.prefetched {
+                        self.stats.prefetch_unused += 1;
+                    }
+                    if evicted.dirty {
+                        self.stats.writebacks += 1;
+                        writeback = Some(LineAddr(evicted.tag));
+                    }
+                }
+                if prefetched {
+                    self.stats.prefetch_fills += 1;
+                }
+                writeback
+            }
+        }
+    }
+
+    /// Drives the packed cache and the reference model with the same seeded
+    /// random operation stream and requires identical outcomes throughout.
+    fn differential(config: CacheConfig, seed: u64, ops: usize) {
+        // SplitMix64: a self-contained deterministic stream.
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut packed = L2Cache::new(config);
+        let mut model = reference::L2Cache::new(config);
+        // A working set a few times the capacity, so sets fill, evict and
+        // re-reference; a few far-apart lines exercise the high address
+        // bits and the hash fold.
+        let footprint = 3 * (config.sets() * config.ways) as u64;
+        for op in 0..ops {
+            let r = next();
+            let mut line = r % footprint;
+            if (r >> 40) % 16 == 0 {
+                line |= ((r >> 44) % 4) << 58;
+            }
+            let line = LineAddr(line);
+            let flag_a = (r >> 48) & 1 == 1;
+            let flag_b = (r >> 49) & 3 == 0;
+            match (r >> 56) % 8 {
+                0..=3 => assert_eq!(
+                    packed.access(line, flag_a),
+                    model.access(line, flag_a),
+                    "op {op}: access({line:?}, store={flag_a})"
+                ),
+                4..=6 => assert_eq!(
+                    packed.fill(line, flag_a, flag_b),
+                    model.fill(line, flag_a, flag_b),
+                    "op {op}: fill({line:?}, dirty={flag_a}, prefetched={flag_b})"
+                ),
+                _ => assert_eq!(
+                    packed.contains(line),
+                    model.contains(line),
+                    "op {op}: contains({line:?})"
+                ),
+            }
+        }
+        assert_eq!(packed.stats(), model.stats());
+        let s = packed.stats();
+        assert!(s.hits > 0 && s.misses > 0 && s.writebacks > 0);
+        assert!(s.prefetch_useful > 0 && s.prefetch_unused > 0);
+    }
+
+    #[test]
+    fn matches_stamp_model_on_tiny_geometry() {
+        for seed in 0..32 {
+            differential(
+                CacheConfig {
+                    size_bytes: 512,
+                    ways: 2,
+                    line_bytes: 64,
+                },
+                seed,
+                2_000,
+            );
+        }
+    }
+
+    #[test]
+    fn matches_stamp_model_on_16_way_geometry() {
+        for seed in 0..8 {
+            differential(
+                CacheConfig {
+                    size_bytes: 64 * 16 * 64,
+                    ways: 16,
+                    line_bytes: 64,
+                },
+                seed,
+                50_000,
+            );
+        }
     }
 
     #[test]

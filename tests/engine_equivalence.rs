@@ -959,8 +959,12 @@ fn fleet_1024_lossy_failover_conserves() {
             .with_epochs_per_round(1)
             .with_threads(threads)
             .with_rpc(RpcConfig {
-                latency_us: 1250.0,
-                jitter_us: 1250.0,
+                // One 10 µs round of latency and one of jitter. Delays in
+                // the milliseconds would need a lease (and so a heartbeat
+                // timeout) of over 250 rounds, longer than this whole run,
+                // and no message would land before it ends.
+                latency_us: 10.0,
+                jitter_us: 10.0,
                 loss: 0.25,
                 duplicate: 0.05,
                 failover: true,
