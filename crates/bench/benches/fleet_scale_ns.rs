@@ -18,6 +18,11 @@
 //! match the machine (`available_parallelism`), keeping the bench
 //! meaningful on small CI runners.
 //!
+//! Servers are built on their first wake (round 0, on the worker pool) and
+//! drop their simulator in the round their workload completes, so the
+//! timed region includes every server's simulator construction, and peak
+//! memory follows the servers still running rather than the whole fleet.
+//!
 //! Modes, mirroring the vendored criterion shim:
 //! * `cargo test` (no `--bench` flag) — two tiny fleets run once as a
 //!   smoke test; no files, no gate.
@@ -101,7 +106,9 @@ fn fleet_config(n: usize, target_divisor: u64) -> ClusterConfig {
 }
 
 /// Best-of-`runs` ns per executed server-epoch at fleet size `n`.
-/// Construction stays outside the timed region.
+/// `ClusterSim::new` stays outside the timed region, but it only records
+/// each server's spec: every server builds its node simulator on its first
+/// wake, so simulator construction is inside the timed region.
 fn measure(n: usize, target_divisor: u64, runs: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..runs.max(1) {

@@ -435,8 +435,11 @@ impl ClusterConfig {
         if self.servers.is_empty() {
             return Err("cluster needs at least one server".into());
         }
-        if self.global_cap_w.is_nan() || self.global_cap_w <= 0.0 {
-            return Err(format!("global cap {} must be positive", self.global_cap_w));
+        if !self.global_cap_w.is_finite() || self.global_cap_w <= 0.0 {
+            return Err(format!(
+                "global cap {} must be finite and positive",
+                self.global_cap_w
+            ));
         }
         if self.epochs_per_round == 0 {
             return Err("epochs_per_round must be positive".into());
@@ -444,10 +447,13 @@ impl ClusterConfig {
         if self.threads == 0 {
             return Err("threads must be positive".into());
         }
-        if self.quantum_w.is_nan() || self.quantum_w <= 0.0 {
-            return Err(format!("quantum {} must be positive", self.quantum_w));
+        if !self.quantum_w.is_finite() || self.quantum_w <= 0.0 {
+            return Err(format!(
+                "quantum {} must be finite and positive",
+                self.quantum_w
+            ));
         }
-        if self.dead_band_w.is_nan() || self.dead_band_w < 0.0 {
+        if !self.dead_band_w.is_finite() || self.dead_band_w < 0.0 {
             return Err(format!(
                 "dead band {} must be finite and non-negative",
                 self.dead_band_w
@@ -498,6 +504,22 @@ mod tests {
 
         let mut c = ok.clone();
         c.threads = 0;
+        assert!(c.validate().is_err());
+
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = ok.clone();
+            c.global_cap_w = bad;
+            assert!(c.validate().is_err(), "global cap {bad}");
+            let mut c = ok.clone();
+            c.quantum_w = bad;
+            assert!(c.validate().is_err(), "quantum {bad}");
+            let mut c = ok.clone();
+            c.dead_band_w = bad;
+            assert!(c.validate().is_err(), "dead band {bad}");
+        }
+
+        let mut c = ok.clone();
+        c.quantum_w = 0.0;
         assert!(c.validate().is_err());
 
         let mut c = ok.clone();

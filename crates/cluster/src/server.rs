@@ -4,7 +4,9 @@
 
 use crate::coordinator::ServerDemand;
 use crate::ServerSpec;
-use coscale::{Model, Plan, Policy, PolicyKind, PowerCapPolicy, RunResult, Runner};
+use coscale::{
+    EpochRecord, Model, Plan, Policy, PolicyKind, PowerCapPolicy, RunResult, Runner, SimConfig,
+};
 use simkernel::Ps;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,11 +89,43 @@ pub struct ServerStatus {
     pub now: Ps,
 }
 
-/// One server: name, runner, shared cap, and round telemetry accumulators.
+/// Where a server is in its life. Only a running server holds a node
+/// simulator (L2 tags, DRAM channels, event queue); a fleet whose servers
+/// finish at different times therefore never holds every simulator at once.
+enum Lifecycle {
+    /// Not yet woken: the configuration to build the simulator from.
+    Pending(Box<SimConfig>),
+    /// Woken and unfinished: the runner with its capped policy.
+    Running(Box<Runner>),
+    /// Workload complete: the simulator is gone, its result remains.
+    Retired(Box<Retired>),
+    /// The runner is out on `step_round`'s stack. Never observed between
+    /// calls.
+    Stepping,
+}
+
+/// What a finished server keeps of its runner.
+struct Retired {
+    result: RunResult,
+    /// Simulated time the runner had reached when it finished.
+    now: Ps,
+}
+
+const STEPPING: &str = "server state observed mid-step";
+
+/// One server: name, lifecycle state, shared cap, and round telemetry
+/// accumulators.
+///
+/// The runner is built in the first [`Server::step_round`] (which the
+/// engines call on their workers) and dropped in the `step_round` whose
+/// epochs complete the workload, keeping only the finalized
+/// [`RunResult`]. Both are bit-identical to a runner built at construction
+/// and finalized at the end: construction reads nothing but the config,
+/// and [`Runner::finalize`] is a pure read of completed state.
 pub struct Server {
     /// Display name from the spec.
     pub name: String,
-    runner: Runner,
+    state: Lifecycle,
     cap: SharedCap,
     cap_w: f64,
     mean_cap_num: f64,
@@ -105,22 +139,26 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the server from its spec, initially granted `initial_cap_w`.
+    /// Prepares the server from its spec, initially granted
+    /// `initial_cap_w`. Only the spec is kept; the node simulator is built
+    /// on the first [`Server::step_round`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's simulation configuration is invalid.
     pub fn new(spec: &ServerSpec, initial_cap_w: f64) -> Server {
-        let cap = SharedCap::new(initial_cap_w);
-        let policy = CappedPolicy::new(cap.clone());
-        let total_target_instrs = spec.config.target_instrs * spec.config.cores as u64;
-        let runner =
-            Runner::new(spec.config.clone(), PolicyKind::PowerCap).with_policy(Box::new(policy));
+        if let Err(e) = spec.config.validate() {
+            panic!("invalid simulation config: {e}");
+        }
         Server {
             name: spec.name.clone(),
-            runner,
-            cap,
+            state: Lifecycle::Pending(Box::new(spec.config.clone())),
+            cap: SharedCap::new(initial_cap_w),
             cap_w: initial_cap_w,
             mean_cap_num: 0.0,
             rounds_run: 0,
             violations: 0,
-            total_target_instrs,
+            total_target_instrs: spec.config.target_instrs * spec.config.cores as u64,
             round_energy_j: 0.0,
             round_start: Ps::ZERO,
             records_seen: 0,
@@ -129,7 +167,12 @@ impl Server {
 
     /// Whether the server's workload is complete.
     pub fn is_done(&self) -> bool {
-        self.runner.is_done()
+        match &self.state {
+            Lifecycle::Pending(_) => false,
+            Lifecycle::Running(runner) => runner.is_done(),
+            Lifecycle::Retired(_) => true,
+            Lifecycle::Stepping => unreachable!("{STEPPING}"),
+        }
     }
 
     /// Assigns the cap for the coming round.
@@ -145,20 +188,31 @@ impl Server {
 
     /// Runs up to `epochs` epochs (stopping early on completion), then
     /// settles round telemetry: mean cap, measured power, violations.
+    /// Builds the runner on the first call and retires it on completion.
     pub fn step_round(&mut self, epochs: usize) {
         if self.is_done() {
             return;
         }
-        let energy_before = self.runner.energy_so_far_j();
-        let t_before = self.runner.system().now();
+        let mut runner = match std::mem::replace(&mut self.state, Lifecycle::Stepping) {
+            Lifecycle::Pending(config) => {
+                let policy = CappedPolicy::new(self.cap.clone());
+                Box::new(Runner::new(*config, PolicyKind::PowerCap).with_policy(Box::new(policy)))
+            }
+            Lifecycle::Running(runner) => runner,
+            Lifecycle::Retired(_) => unreachable!("a retired server is done"),
+            Lifecycle::Stepping => unreachable!("{STEPPING}"),
+        };
+        let energy_before = runner.energy_so_far_j();
+        let t_before = runner.system().now();
         for _ in 0..epochs {
-            if self.is_done() {
+            if runner.is_done() {
                 break;
             }
-            self.runner.step_epoch();
+            runner.step_epoch();
         }
-        let dt = (self.runner.system().now() - t_before).as_secs_f64();
-        let de = self.runner.energy_so_far_j() - energy_before;
+        let now = runner.system().now();
+        let dt = (now - t_before).as_secs_f64();
+        let de = runner.energy_so_far_j() - energy_before;
         let measured_w = if dt > 0.0 { de / dt } else { 0.0 };
         self.round_energy_j = de;
         self.round_start = t_before;
@@ -170,6 +224,34 @@ impl Server {
         if self.cap_w > 0.0 && measured_w > self.cap_w * 1.05 {
             self.violations += 1;
         }
+        self.state = if runner.is_done() {
+            Lifecycle::Retired(Box::new(Retired {
+                result: runner.finalize(),
+                now,
+            }))
+        } else {
+            Lifecycle::Running(runner)
+        };
+    }
+
+    /// The per-epoch decision records so far.
+    fn records(&self) -> &[EpochRecord] {
+        match &self.state {
+            Lifecycle::Pending(_) => &[],
+            Lifecycle::Running(runner) => runner.records(),
+            Lifecycle::Retired(retired) => &retired.result.records,
+            Lifecycle::Stepping => unreachable!("{STEPPING}"),
+        }
+    }
+
+    /// Simulated time reached.
+    fn now(&self) -> Ps {
+        match &self.state {
+            Lifecycle::Pending(_) => Ps::ZERO,
+            Lifecycle::Running(runner) => runner.system().now(),
+            Lifecycle::Retired(retired) => retired.now,
+            Lifecycle::Stepping => unreachable!("{STEPPING}"),
+        }
     }
 
     /// Round-boundary telemetry for the coordinator. Demand and floor are
@@ -178,7 +260,7 @@ impl Server {
     /// has run — the coordinator treats a zero-demand active server as
     /// "unknown" and splits uniformly).
     pub fn status(&mut self) -> ServerStatus {
-        let records = self.runner.records();
+        let records = self.records();
         let fresh = &records[self.records_seen.min(records.len())..];
         let (demand_w, min_w) = if fresh.is_empty() {
             records
@@ -192,7 +274,8 @@ impl Server {
             )
         };
         self.records_seen = records.len();
-        let dt = (self.runner.system().now() - self.round_start).as_secs_f64();
+        let now = self.now();
+        let dt = (now - self.round_start).as_secs_f64();
         let measured_w = if dt > 0.0 {
             self.round_energy_j / dt
         } else {
@@ -206,7 +289,7 @@ impl Server {
             },
             measured_w,
             cap_w: self.cap_w,
-            now: self.runner.system().now(),
+            now,
         }
     }
 
@@ -240,7 +323,13 @@ impl Server {
     ///
     /// Panics if the workload has not completed.
     pub fn finalize(self) -> RunResult {
-        self.runner.finalize()
+        match self.state {
+            Lifecycle::Retired(retired) => retired.result,
+            Lifecycle::Pending(_) | Lifecycle::Running(_) => {
+                panic!("finalize() before workload completion")
+            }
+            Lifecycle::Stepping => unreachable!("{STEPPING}"),
+        }
     }
 }
 
@@ -249,17 +338,192 @@ mod tests {
     use super::*;
     use crate::synthetic_fleet;
 
+    /// Every field of a status as raw bits, so equality is bit-identity.
+    fn bits(s: &ServerStatus) -> [u64; 6] {
+        [
+            s.demand.demand_w.to_bits(),
+            s.demand.min_w.to_bits(),
+            u64::from(s.demand.active),
+            s.measured_w.to_bits(),
+            s.cap_w.to_bits(),
+            s.now.as_ps(),
+        ]
+    }
+
+    /// The eager server this lifecycle replaced, as a reference model: the
+    /// runner is built at construction and held until `finalize`, and
+    /// telemetry reads the live runner.
+    struct EagerServer {
+        runner: Runner,
+        cap: SharedCap,
+        cap_w: f64,
+        round_energy_j: f64,
+        round_start: Ps,
+        records_seen: usize,
+    }
+
+    impl EagerServer {
+        fn new(spec: &ServerSpec, initial_cap_w: f64) -> EagerServer {
+            let cap = SharedCap::new(initial_cap_w);
+            let policy = CappedPolicy::new(cap.clone());
+            let runner = Runner::new(spec.config.clone(), PolicyKind::PowerCap)
+                .with_policy(Box::new(policy));
+            EagerServer {
+                runner,
+                cap,
+                cap_w: initial_cap_w,
+                round_energy_j: 0.0,
+                round_start: Ps::ZERO,
+                records_seen: 0,
+            }
+        }
+
+        fn set_cap(&mut self, cap_w: f64) {
+            self.cap.set(cap_w);
+            self.cap_w = cap_w;
+        }
+
+        fn step_round(&mut self, epochs: usize) {
+            if self.runner.is_done() {
+                return;
+            }
+            let energy_before = self.runner.energy_so_far_j();
+            let t_before = self.runner.system().now();
+            for _ in 0..epochs {
+                if self.runner.is_done() {
+                    break;
+                }
+                self.runner.step_epoch();
+            }
+            self.round_energy_j = self.runner.energy_so_far_j() - energy_before;
+            self.round_start = t_before;
+        }
+
+        fn status(&mut self) -> ServerStatus {
+            let records = self.runner.records();
+            let fresh = &records[self.records_seen.min(records.len())..];
+            let (demand_w, min_w) = if fresh.is_empty() {
+                records
+                    .last()
+                    .map_or((0.0, 0.0), |r| (r.demand_power_w, r.min_power_w))
+            } else {
+                let n = fresh.len() as f64;
+                (
+                    fresh.iter().map(|r| r.demand_power_w).sum::<f64>() / n,
+                    fresh.iter().map(|r| r.min_power_w).sum::<f64>() / n,
+                )
+            };
+            self.records_seen = records.len();
+            let dt = (self.runner.system().now() - self.round_start).as_secs_f64();
+            let measured_w = if dt > 0.0 {
+                self.round_energy_j / dt
+            } else {
+                0.0
+            };
+            ServerStatus {
+                demand: ServerDemand {
+                    demand_w,
+                    min_w,
+                    active: !self.runner.is_done(),
+                },
+                measured_w,
+                cap_w: self.cap_w,
+                now: self.runner.system().now(),
+            }
+        }
+    }
+
     #[test]
     fn non_positive_or_nan_caps_run_the_floor_plan() {
         let spec = synthetic_fleet(1, 0.0).remove(0);
         for cap_w in [f64::NAN, 0.0, -5.0] {
             let mut server = Server::new(&spec, cap_w);
             server.step_round(1);
-            let plan = &server.runner.records().last().expect("one epoch ran").plan;
+            let plan = &server.records().last().expect("one epoch ran").plan;
             assert!(
                 plan.cores.iter().all(|&c| c == 0) && plan.mem == 0,
                 "cap {cap_w} W ran {plan:?}"
             );
         }
+    }
+
+    #[test]
+    fn pending_status_matches_a_fresh_runner() {
+        let spec = synthetic_fleet(1, 0.0).remove(0);
+        let mut server = Server::new(&spec, 40.0);
+        assert!(matches!(server.state, Lifecycle::Pending(_)));
+        assert!(!server.is_done());
+        let mut fresh = EagerServer::new(&spec, 40.0);
+        assert_eq!(bits(&server.status()), bits(&fresh.status()));
+        // Reading telemetry does not wake the server.
+        assert!(matches!(server.state, Lifecycle::Pending(_)));
+    }
+
+    #[test]
+    fn lifecycle_matches_an_eager_runner_bit_for_bit() {
+        // Idle servers finish in the first round, busy ones after many;
+        // the caps cycle through binding, generous, NaN and zero grants.
+        let caps = [40.0, 12.0, 90.0, f64::NAN, 0.0, 25.0, 7.5];
+        for spec in synthetic_fleet(4, 0.5) {
+            let mut lazy = Server::new(&spec, 30.0);
+            let mut eager = EagerServer::new(&spec, 30.0);
+            let mut round = 0;
+            // Two rounds past completion exercise the retired status path.
+            let mut after_done = 0;
+            while after_done < 2 {
+                let cap_w = caps[round % caps.len()];
+                lazy.set_cap(cap_w);
+                eager.set_cap(cap_w);
+                lazy.step_round(3);
+                eager.step_round(3);
+                assert_eq!(
+                    bits(&lazy.status()),
+                    bits(&eager.status()),
+                    "{} round {round}",
+                    spec.name
+                );
+                assert_eq!(lazy.is_done(), eager.runner.is_done());
+                if lazy.is_done() {
+                    after_done += 1;
+                }
+                round += 1;
+            }
+            // Debug renders every f64 in shortest round-trip form, so equal
+            // text means equal bits.
+            assert_eq!(
+                format!("{:?}", lazy.finalize()),
+                format!("{:?}", eager.runner.finalize()),
+                "{}",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_finished_server_drops_its_runner_and_still_takes_caps() {
+        let spec = synthetic_fleet(1, 1.0).remove(0);
+        let mut server = Server::new(&spec, 50.0);
+        while !server.is_done() {
+            server.step_round(4);
+        }
+        assert!(matches!(server.state, Lifecycle::Retired(_)));
+        let before = server.status();
+        // The goodbye barrier releases a finished server to a zero cap.
+        server.set_cap(0.0);
+        server.step_round(4);
+        assert_eq!(server.cap_w(), 0.0);
+        let after = server.status();
+        assert_eq!(after.cap_w, 0.0);
+        assert!(!after.demand.active);
+        assert_eq!(after.now, before.now);
+        assert!(server.finalize().epochs > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid simulation config")]
+    fn a_bad_config_fails_at_construction() {
+        let mut spec = synthetic_fleet(1, 0.0).remove(0);
+        spec.config.gamma = 2.0;
+        let _ = Server::new(&spec, 50.0);
     }
 }

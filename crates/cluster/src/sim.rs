@@ -196,7 +196,8 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Builds the fleet.
+    /// Builds the fleet. Servers hold only their specs until the engine
+    /// first steps them (see [`Server`]), so this is cheap.
     ///
     /// # Panics
     ///
@@ -206,34 +207,11 @@ impl ClusterSim {
             panic!("invalid cluster config: {e}");
         }
         let initial = config.global_cap_w / config.servers.len() as f64;
-        // Construction is per-spec independent and allocation-heavy (cache
-        // tag arrays, trace generators), so large fleets build in parallel
-        // on the configured worker count. Order is preserved; results are
-        // identical to serial construction.
-        let servers = if config.threads > 1 && config.servers.len() > 1 {
-            let chunk = config.servers.len().div_ceil(config.threads);
-            let mut built: Vec<Option<Server>> = Vec::new();
-            built.resize_with(config.servers.len(), || None);
-            std::thread::scope(|scope| {
-                for (specs, out) in config.servers.chunks(chunk).zip(built.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (spec, slot) in specs.iter().zip(out) {
-                            *slot = Some(Server::new(spec, initial));
-                        }
-                    });
-                }
-            });
-            built
-                .into_iter()
-                .map(|s| s.expect("every chunk constructed"))
-                .collect()
-        } else {
-            config
-                .servers
-                .iter()
-                .map(|spec| Server::new(spec, initial))
-                .collect()
-        };
+        let servers = config
+            .servers
+            .iter()
+            .map(|spec| Server::new(spec, initial))
+            .collect();
         ClusterSim { config, servers }
     }
 
