@@ -246,9 +246,9 @@ pub fn synthetic_fleet(n: usize, idle_fraction: f64) -> Vec<ServerSpec> {
         .map(|i| {
             let mut spec = ServerSpec::small(&format!("s{i:04}"), "MID1", 1 + i as u64);
             // The test default keeps Table 2's 16 MiB L2, whose tag store
-            // is 2 MiB (256 Ki ways at 8 bytes); at a thousand servers that
-            // is 2 GiB of tags and construction drowns in page faults.
-            // Scale-fleet servers model a 1 MiB L2: 128 KiB of tags each.
+            // is 1 MiB (256 Ki ways at 4 bytes); at a thousand servers that
+            // is 1 GiB of tags and construction drowns in page faults.
+            // Scale-fleet servers model a 1 MiB L2: 64 KiB of tags each.
             spec.config.cache.size_bytes = 1024 * 1024;
             // Coordination-scale regime: small nodes (2 cores, a coarse
             // 4-step DVFS grid) on epochs an order of magnitude shorter

@@ -35,7 +35,7 @@
 
 use crate::coordinator::{split_caps, ServerDemand, SlaSignal, SplitError, TreeSignals};
 use crate::CapSplit;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One node of a [`BudgetTree`]: either a leaf server (named, resolved
 /// against the fleet at split time) or an interior group with its own split
@@ -370,29 +370,24 @@ impl BudgetTree {
     pub fn validate(&self, fleet: &[&str]) -> Result<(), String> {
         let mut groups = Vec::new();
         collect_group_labels(&self.root, &mut groups);
-        for (i, g) in groups.iter().enumerate() {
-            if groups[..i].contains(g) {
-                return Err(format!("budget tree: duplicate group label '{g}'"));
-            }
+        let mut seen = HashSet::with_capacity(groups.len());
+        if let Some(g) = groups.iter().find(|g| !seen.insert(**g)) {
+            return Err(format!("budget tree: duplicate group label '{g}'"));
         }
         check_groups_nonempty(&self.root)?;
         let leaves = self.leaves();
-        for (i, l) in leaves.iter().enumerate() {
-            if leaves[..i].contains(l) {
-                return Err(format!("budget tree: server '{l}' appears twice"));
-            }
+        let mut leaf_set = HashSet::with_capacity(leaves.len());
+        if let Some(l) = leaves.iter().find(|l| !leaf_set.insert(**l)) {
+            return Err(format!("budget tree: server '{l}' appears twice"));
         }
-        for l in &leaves {
-            if !fleet.contains(l) {
-                return Err(format!("budget tree: unknown server '{l}'"));
-            }
+        let fleet_set: HashSet<&str> = fleet.iter().copied().collect();
+        if let Some(l) = leaves.iter().find(|l| !fleet_set.contains(**l)) {
+            return Err(format!("budget tree: unknown server '{l}'"));
         }
-        for s in fleet {
-            if !leaves.contains(s) {
-                return Err(format!(
-                    "budget tree: fleet server '{s}' missing from the tree"
-                ));
-            }
+        if let Some(s) = fleet.iter().find(|s| !leaf_set.contains(**s)) {
+            return Err(format!(
+                "budget tree: fleet server '{s}' missing from the tree"
+            ));
         }
         Ok(())
     }

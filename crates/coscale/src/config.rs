@@ -4,7 +4,7 @@ use cpusim::{CacheConfig, CoreConfig};
 use memsim::MemConfig;
 use powermodel::PowerConfig;
 use simkernel::{Freq, Ps};
-use workloads::Mix;
+use workloads::{Mix, TraceGen};
 
 /// Which energy-management policy drives the system.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -44,6 +44,39 @@ impl std::fmt::Display for PolicyKind {
         write!(f, "{s}")
     }
 }
+
+/// Why a [`SimConfig`] is inconsistent.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The L2 geometry is inconsistent (see [`CacheConfig::checked_sets`]).
+    CacheGeometry(String),
+    /// The workload generator addresses lines the L2's tags cannot hold.
+    BeyondTagReach {
+        /// Highest line the cores may touch, next-line prefetches included.
+        top_line: u64,
+        /// The cache holds lines below `2^line_bits`.
+        line_bits: u32,
+    },
+    /// Any other inconsistent field.
+    Invalid(String),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::CacheGeometry(e) | ConfigError::Invalid(e) => f.write_str(e),
+            ConfigError::BeyondTagReach {
+                top_line,
+                line_bits,
+            } => write!(
+                f,
+                "line {top_line:#x} is beyond the L2 tag reach of {line_bits} bits"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Complete configuration of one simulation run.
 #[derive(Clone, Debug)]
@@ -154,33 +187,46 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first inconsistency found.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns the first inconsistency found.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let invalid = |e: String| Err(ConfigError::Invalid(e));
         if self.cores == 0 || self.cores > 16 {
-            return Err(format!(
+            return invalid(format!(
                 "cores {} out of 1..=16 (mixes define 16)",
                 self.cores
             ));
         }
         if self.core_freqs.is_empty() {
-            return Err("empty core frequency grid".into());
+            return invalid("empty core frequency grid".into());
         }
         if self.core_freqs.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("core frequency grid must be strictly ascending".into());
+            return invalid("core frequency grid must be strictly ascending".into());
         }
         if self.profile_window >= self.epoch {
-            return Err("profiling window must be shorter than the epoch".into());
+            return invalid("profiling window must be shorter than the epoch".into());
         }
         if !(0.0..1.0).contains(&self.gamma) {
-            return Err(format!("gamma {} out of [0,1)", self.gamma));
+            return invalid(format!("gamma {} out of [0,1)", self.gamma));
         }
         if self.target_instrs == 0 {
-            return Err("target_instrs must be positive".into());
+            return invalid("target_instrs must be positive".into());
         }
         if self.voltage_domain_cores == 0 {
-            return Err("voltage_domain_cores must be positive".into());
+            return invalid("voltage_domain_cores must be positive".into());
         }
-        self.mem.validate()
+        self.cache
+            .checked_sets()
+            .map_err(ConfigError::CacheGeometry)?;
+        // The next-line prefetcher may fetch one past the highest line.
+        let top_line = TraceGen::highest_line(self.cores).0 + 1;
+        let line_bits = self.cache.line_bits();
+        if top_line.checked_shr(line_bits).unwrap_or(0) != 0 {
+            return Err(ConfigError::BeyondTagReach {
+                top_line,
+                line_bits,
+            });
+        }
+        self.mem.validate().map_err(ConfigError::Invalid)
     }
 }
 
@@ -231,6 +277,39 @@ mod tests {
         let mut c = base;
         c.target_instrs = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_cache_whose_tags_cannot_reach_the_workload() {
+        let mut c = SimConfig::for_mix(mix("MEM1").unwrap());
+        // 16 cores touch lines up to 2^35 + 2^29 + 2^24. Four sets leave 31
+        // line bits; 64 sets leave 35; 128 sets reach 2^36.
+        for (sets, ok) in [(4u64, false), (64, false), (128, true), (16_384, true)] {
+            c.cache.size_bytes = sets * 16 * 64;
+            let r = c.validate();
+            assert_eq!(r.is_ok(), ok, "{sets} sets: {r:?}");
+            if let Err(e) = r {
+                assert!(matches!(e, ConfigError::BeyondTagReach { line_bits, .. }
+                    if line_bits == 29 + sets.trailing_zeros()));
+                assert!(e.to_string().contains("tag reach"), "{e}");
+            }
+        }
+        // One core's lines stay below 2^30, which four sets still reach.
+        c.cores = 1;
+        c.cache.size_bytes = 4 * 16 * 64;
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_reports_a_bad_cache_geometry_without_panicking() {
+        let mut c = SimConfig::for_mix(mix("ILP1").unwrap());
+        c.cache.size_bytes = 3 * 16 * 64;
+        assert!(matches!(c.validate(), Err(ConfigError::CacheGeometry(_))));
+        c.cache.ways = 0;
+        assert!(matches!(c.validate(), Err(ConfigError::CacheGeometry(_))));
+        let mut c = SimConfig::for_mix(mix("ILP1").unwrap());
+        c.cache.line_bytes = 0;
+        assert!(matches!(c.validate(), Err(ConfigError::CacheGeometry(_))));
     }
 
     #[test]

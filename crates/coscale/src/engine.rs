@@ -223,28 +223,26 @@ impl System {
         self.mem_out = out;
     }
 
-    /// Drains `self.core_out` into the memory system.
-    fn dispatch_core_output(&mut self, core: usize) {
-        let reads: Vec<LineAddr> = self.core_out.reads.drain(..).collect();
-        let prefetches: Vec<LineAddr> = self.core_out.prefetches.drain(..).collect();
-        let writebacks: Vec<LineAddr> = self.core_out.writebacks.drain(..).collect();
-        for line in reads {
+    /// Drains `out` (taken from `self.core_out`) into the memory system and
+    /// hands its emptied buffers back for the next core step.
+    fn dispatch_core_output(&mut self, core: usize, mut out: CoreOutput) {
+        for &line in &out.reads {
             self.issue_read(core, line, false);
         }
-        for line in prefetches {
+        for &line in &out.prefetches {
             self.issue_read(core, line, true);
         }
-        for line in writebacks {
+        for &line in &out.writebacks {
             self.issue_writeback(line);
         }
+        out.clear();
+        self.core_out = out;
     }
 
     fn step_core(&mut self, id: usize) {
-        self.core_out.clear();
         let mut out = std::mem::take(&mut self.core_out);
         let wake = self.cores[id].advance(self.now, &mut self.l2, &mut out);
-        self.core_out = out;
-        self.dispatch_core_output(id);
+        self.dispatch_core_output(id, out);
         if let Wake::At(t) = wake {
             self.core_gen[id] += 1;
             self.queue.push(
@@ -262,15 +260,13 @@ impl System {
 
     fn finish_read(&mut self, tag: u64) {
         let info = self.tags.remove(&tag).expect("completion for unknown tag");
-        self.core_out.clear();
         let mut out = std::mem::take(&mut self.core_out);
         let runnable = if info.prefetch {
             self.cores[info.core].complete_prefetch(self.now, info.line, &mut self.l2, &mut out)
         } else {
             self.cores[info.core].complete_read(self.now, info.line, &mut self.l2, &mut out)
         };
-        self.core_out = out;
-        self.dispatch_core_output(info.core);
+        self.dispatch_core_output(info.core, out);
         if runnable {
             self.step_core(info.core);
         }

@@ -40,7 +40,7 @@ mod engine;
 mod model;
 mod policy;
 
-pub use config::{PolicyKind, SimConfig};
+pub use config::{ConfigError, PolicyKind, SimConfig};
 pub use engine::{run_policy, EpochRecord, RunResult, Runner, Snapshot, System};
 pub use model::{
     extract_profile, normalize_profile, CoreProfile, EpochProfile, MemProfile, Model, Plan,

@@ -33,13 +33,40 @@ impl CacheConfig {
     /// Panics if the geometry is inconsistent (non-power-of-two set count or
     /// zero ways).
     pub fn sets(&self) -> usize {
-        assert!(self.ways > 0, "cache needs at least one way");
-        let sets = self.size_bytes / (self.line_bytes * self.ways as u64);
-        assert!(
-            sets > 0 && sets.is_power_of_two(),
-            "set count {sets} must be a nonzero power of two"
-        );
-        sets as usize
+        self.checked_sets().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Number of sets implied by the configuration, or why the geometry is
+    /// inconsistent.
+    ///
+    /// # Errors
+    ///
+    /// Fails on zero ways, a zero line size, or a set count that is not a
+    /// nonzero power of two.
+    pub fn checked_sets(&self) -> Result<usize, String> {
+        if self.ways == 0 {
+            return Err("cache needs at least one way".into());
+        }
+        let sets = self
+            .line_bytes
+            .checked_mul(self.ways as u64)
+            .and_then(|way_bytes| self.size_bytes.checked_div(way_bytes))
+            .unwrap_or(0);
+        if sets == 0 || !sets.is_power_of_two() {
+            return Err(format!("set count {sets} must be a nonzero power of two"));
+        }
+        Ok(sets as usize)
+    }
+
+    /// Line-address bits the cache can hold: the set index plus the 29 tag
+    /// bits a way stores above it. Every line passed to the cache must lie
+    /// below `2^line_bits()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent, as [`CacheConfig::sets`].
+    pub fn line_bits(&self) -> u32 {
+        TAG_BITS + self.sets().trailing_zeros()
     }
 }
 
@@ -110,45 +137,46 @@ pub enum Access {
     Miss,
 }
 
-// Way flag bits; the line address sits above them.
-const PREFETCHED: u64 = 1 << 0;
-const DIRTY: u64 = 1 << 1;
-const VALID: u64 = 1 << 2;
+// Way flag bits; the set-relative tag sits above them.
+const PREFETCHED: u32 = 1 << 0;
+const DIRTY: u32 = 1 << 1;
+const VALID: u32 = 1 << 2;
 const FLAG_BITS: u32 = 3;
 
-/// The word of a valid, clean, demand-filled way holding `line`.
-///
-/// # Panics
-///
-/// Panics if `line` does not fit in the 61 address bits of a way.
+/// Line-address bits a way stores above its set index.
+const TAG_BITS: u32 = u32::BITS - FLAG_BITS;
+
+/// The low bits of the set-index fold: `x ^ x>>14 ^ x>>28 ^ x>>42` without
+/// the `x` term.
 #[inline]
-fn key(line: LineAddr) -> u64 {
-    assert!(
-        line.0 >> (64 - FLAG_BITS) == 0,
-        "line address {:#x} does not fit in 61 bits",
-        line.0
-    );
-    (line.0 << FLAG_BITS) | VALID
+fn fold_high(x: u64) -> u64 {
+    (x >> 14) ^ (x >> 28) ^ (x >> 42)
 }
 
 /// Whether way word `w` holds the line of `key`, whatever its dirty and
 /// prefetched bits. An invalid (all-zero) way never matches.
 #[inline]
-fn holds(w: u64, key: u64) -> bool {
+fn holds(w: u32, key: u32) -> bool {
     w & !(DIRTY | PREFETCHED) == key
 }
 
 /// A set-associative writeback LRU cache over [`LineAddr`]s.
 ///
-/// The set index is hash-folded from the full line address so that each
-/// core's private footprint (cores own disjoint high-order address slices)
-/// spreads over all sets instead of aliasing into the low sets.
+/// The set index hash-folds the line address, `x ^ x>>14 ^ x>>28 ^ x>>42`,
+/// so that the high-order bits that tell cores apart (cores own disjoint
+/// high-order address slices) reach the index. The fold does not spread a
+/// small footprint over all sets: at 16 MiB, core `c`'s hot line `i < 4096`
+/// lands in set `i ^ (c << 4)`, so every core's hot footprint shares sets
+/// 0–4095 and sixteen cores fill those sets exactly (EXPERIMENTS.md).
 ///
-/// Each way is one `u64`: bit 0 prefetched, bit 1 dirty, bit 2 valid, and
-/// the line address above them; an all-zero word is an invalid way. A set
-/// keeps its ways most recent first with the invalid ways at the tail, so
-/// the LRU victim is always the last way and no timestamps are stored.
-/// Line addresses must fit in 61 bits.
+/// Each way is one `u32`: bit 0 prefetched, bit 1 dirty, bit 2 valid, and
+/// the 29-bit tag `line >> set_bits` above them; an all-zero word
+/// is an invalid way. A dirty victim's address is rebuilt from its set
+/// index and tag by inverting the fold. A set keeps its ways most recent
+/// first with the invalid ways at the tail, so the LRU victim is always the
+/// last way and no timestamps are stored. Line addresses must lie below
+/// `2^`[`CacheConfig::line_bits`]: 2^43 for the default 16 MiB, 16-way
+/// geometry.
 ///
 /// # Example
 ///
@@ -164,7 +192,8 @@ fn holds(w: u64, key: u64) -> bool {
 #[derive(Clone, Debug)]
 pub struct L2Cache {
     config: CacheConfig,
-    ways: Vec<u64>,
+    ways: Vec<u32>,
+    set_bits: u32,
     set_mask: u64,
     stats: CacheStats,
 }
@@ -181,7 +210,8 @@ impl L2Cache {
             config,
             // All-zero is the invalid way, so the allocator's zeroed pages
             // are an empty cache.
-            ways: vec![0u64; sets * config.ways],
+            ways: vec![0u32; sets * config.ways],
+            set_bits: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
             stats: CacheStats::default(),
         }
@@ -199,30 +229,56 @@ impl L2Cache {
 
     #[inline]
     fn set_index(&self, line: LineAddr) -> usize {
-        // Fold the high bits down so disjoint per-core regions spread across
-        // all sets.
         let x = line.0;
-        ((x ^ (x >> 14) ^ (x >> 28) ^ (x >> 42)) & self.set_mask) as usize
+        ((x ^ fold_high(x)) & self.set_mask) as usize
+    }
+
+    /// The word of a valid, clean, demand-filled way holding `line`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` lies beyond the tag reach, `2^line_bits`.
+    #[inline]
+    fn key(&self, line: LineAddr) -> u32 {
+        let tag = line.0 >> self.set_bits;
+        assert!(
+            tag >> TAG_BITS == 0,
+            "line address {:#x} is beyond the tag reach of {} bits",
+            line.0,
+            TAG_BITS + self.set_bits
+        );
+        ((tag as u32) << FLAG_BITS) | VALID
+    }
+
+    /// The line held by way word `w` of set `set`: the tag gives the bits
+    /// above the set index, and the low bits follow from inverting the fold.
+    /// Each pass fixes 14 more low bits from the top down (bit `p` of the
+    /// index folds in bits `p + 14`, `p + 28` and `p + 42`), so up to 14 set
+    /// bits take one pass.
+    #[inline]
+    fn line_of(&self, set: usize, w: u32) -> LineAddr {
+        let high = u64::from(w >> FLAG_BITS) << self.set_bits;
+        let mut x = high;
+        for _ in 0..self.set_bits.div_ceil(14) {
+            x = high | ((set as u64 ^ fold_high(x)) & self.set_mask);
+        }
+        LineAddr(x)
     }
 
     #[inline]
-    fn set(&self, line: LineAddr) -> &[u64] {
-        let start = self.set_index(line) * self.config.ways;
-        &self.ways[start..start + self.config.ways]
-    }
-
-    #[inline]
-    fn set_mut(&mut self, line: LineAddr) -> &mut [u64] {
-        let start = self.set_index(line) * self.config.ways;
-        &mut self.ways[start..start + self.config.ways]
+    fn set_range(&self, line: LineAddr) -> (usize, std::ops::Range<usize>) {
+        let set = self.set_index(line);
+        let start = set * self.config.ways;
+        (set, start..start + self.config.ways)
     }
 
     /// Performs a demand access. On a hit the line's LRU position is
     /// refreshed and, for stores, the dirty bit set. On a miss nothing is
     /// installed — fetch the line and call [`L2Cache::fill`].
     pub fn access(&mut self, line: LineAddr, is_store: bool) -> Access {
-        let key = key(line);
-        let set = self.set_mut(line);
+        let key = self.key(line);
+        let (_, range) = self.set_range(line);
+        let set = &mut self.ways[range];
         let Some(i) = set.iter().position(|&w| holds(w, key)) else {
             self.stats.misses += 1;
             return Access::Miss;
@@ -242,8 +298,9 @@ impl L2Cache {
 
     /// Whether `line` is currently resident (no LRU/stat side effects).
     pub fn contains(&self, line: LineAddr) -> bool {
-        let key = key(line);
-        self.set(line).iter().any(|&w| holds(w, key))
+        let key = self.key(line);
+        let (_, range) = self.set_range(line);
+        self.ways[range].iter().any(|&w| holds(w, key))
     }
 
     /// Installs `line`, evicting the LRU way if the set is full. Returns the
@@ -252,9 +309,10 @@ impl L2Cache {
     /// `dirty` marks the fill itself dirty (store miss); `prefetched` tags
     /// the line for prefetch-accuracy accounting.
     pub fn fill(&mut self, line: LineAddr, dirty: bool, prefetched: bool) -> Option<LineAddr> {
-        let key = key(line);
+        let key = self.key(line);
         let dirty_bit = if dirty { DIRTY } else { 0 };
-        let set = self.set_mut(line);
+        let (set_idx, range) = self.set_range(line);
+        let set = &mut self.ways[range];
 
         // Already present (e.g. a demand fill racing a prefetch fill):
         // merge flags rather than duplicating the line.
@@ -278,7 +336,7 @@ impl L2Cache {
             }
             if evicted & DIRTY != 0 {
                 self.stats.writebacks += 1;
-                writeback = Some(LineAddr(evicted >> FLAG_BITS));
+                writeback = Some(self.line_of(set_idx, evicted));
             }
         }
         if prefetched {
@@ -291,6 +349,7 @@ impl L2Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> L2Cache {
         // 4 sets x 2 ways x 64B = 512B.
@@ -430,21 +489,22 @@ mod tests {
         let cache = L2Cache::new(CacheConfig::default());
         assert_eq!(
             std::mem::size_of_val(cache.ways.as_slice()),
-            8 * 16_384 * 16
+            4 * 16_384 * 16
         );
     }
 
     #[test]
-    #[should_panic(expected = "does not fit in 61 bits")]
-    fn line_beyond_61_bits_panics() {
+    #[should_panic(expected = "beyond the tag reach of 31 bits")]
+    fn first_line_past_the_tag_reach_panics() {
         let mut c = tiny();
-        let _ = c.fill(LineAddr(1 << 61), false, false);
+        assert_eq!(c.config().line_bits(), 31);
+        let _ = c.fill(LineAddr(1 << 31), false, false);
     }
 
     #[test]
     fn widest_line_round_trips() {
         let mut c = tiny();
-        let top = LineAddr((1 << 61) - 1);
+        let top = LineAddr((1 << c.config().line_bits()) - 1);
         assert_eq!(c.fill(top, true, false), None);
         assert!(c.contains(top));
         let target = c.set_index(top);
@@ -456,6 +516,58 @@ mod tests {
         // The first fill takes the free way; the second evicts `top`.
         let wbs: Vec<_> = lines.iter().map(|&l| c.fill(l, false, false)).collect();
         assert_eq!(wbs, vec![None, Some(top)]);
+    }
+
+    /// 16 MiB, 8-way: 32768 sets, so rebuilding a victim's line takes two
+    /// passes of the fold inversion.
+    const WIDE_SETS: CacheConfig = CacheConfig {
+        size_bytes: 16 * 1024 * 1024,
+        ways: 8,
+        line_bytes: 64,
+    };
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoding (set index, tag) gives back every line within the tag
+        /// reach, for set indices below, at and above one fold pass.
+        #[test]
+        fn set_and_tag_decode_to_the_line(raw in any::<u64>()) {
+            for config in [
+                CacheConfig { size_bytes: 512, ways: 2, line_bytes: 64 },
+                CacheConfig::default(),
+                WIDE_SETS,
+            ] {
+                let c = L2Cache::new(config);
+                let line = LineAddr(raw >> (64 - config.line_bits()));
+                let set = c.set_index(line);
+                prop_assert_eq!(c.line_of(set, c.key(line)), line);
+            }
+        }
+    }
+
+    /// At the default 16 MiB geometry, core `c`'s hot line `i` lands in set
+    /// `i ^ (c << 4)`: the per-core slices at `c << 32` reach the index only
+    /// through the `x >> 28` term. Sixteen hot footprints therefore share
+    /// sets 0–4095 and fill all 16 ways of each. Changing the fold would
+    /// move every digest, so this pins the mapping the simulator runs on.
+    #[test]
+    fn hot_footprints_share_the_low_sets() {
+        let c = L2Cache::new(CacheConfig::default());
+        let mut per_set = vec![0usize; c.config().sets()];
+        for core in 0..16 {
+            let gen = workloads::TraceGen::new(workloads::app("milc"), core, 1);
+            for (i, line) in gen.hot_footprint().enumerate() {
+                assert_eq!(
+                    c.set_index(line),
+                    i ^ (core << 4),
+                    "core {core} line {line:?}"
+                );
+                per_set[c.set_index(line)] += 1;
+            }
+        }
+        assert!(per_set[..4096].iter().all(|&n| n == 16));
+        assert!(per_set[4096..].iter().all(|&n| n == 0));
     }
 
     /// The stamp-based tag store this cache replaced, its logic kept
@@ -619,14 +731,15 @@ mod tests {
         let mut packed = L2Cache::new(config);
         let mut model = reference::L2Cache::new(config);
         // A working set a few times the capacity, so sets fill, evict and
-        // re-reference; a few far-apart lines exercise the high address
-        // bits and the hash fold.
+        // re-reference; a few far-apart lines at the top of the tag reach
+        // exercise the high address bits, the hash fold and its inversion.
         let footprint = 3 * (config.sets() * config.ways) as u64;
+        let far_shift = config.line_bits() - 2;
         for op in 0..ops {
             let r = next();
             let mut line = r % footprint;
             if (r >> 40) % 16 == 0 {
-                line |= ((r >> 44) % 4) << 58;
+                line |= ((r >> 44) % 4) << far_shift;
             }
             let line = LineAddr(line);
             let flag_a = (r >> 48) & 1 == 1;
@@ -682,6 +795,13 @@ mod tests {
                 seed,
                 50_000,
             );
+        }
+    }
+
+    #[test]
+    fn matches_stamp_model_past_one_fold_pass() {
+        for seed in 0..2 {
+            differential(WIDE_SETS, seed, 2_000_000);
         }
     }
 

@@ -425,8 +425,11 @@ impl ServiceConfig {
     ///
     /// Returns a message describing the first inconsistency found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.global_cap_w.is_nan() || self.global_cap_w <= 0.0 {
-            return Err(format!("global cap {} must be positive", self.global_cap_w));
+        if !self.global_cap_w.is_finite() || self.global_cap_w <= 0.0 {
+            return Err(format!(
+                "global cap {} must be finite and positive",
+                self.global_cap_w
+            ));
         }
         if self.rounds == 0 {
             return Err("rounds must be positive".into());
@@ -437,13 +440,16 @@ impl ServiceConfig {
         if self.threads == 0 {
             return Err("threads must be positive".into());
         }
-        if self.quantum_w.is_nan() || self.quantum_w <= 0.0 {
-            return Err(format!("quantum {} must be positive", self.quantum_w));
+        if !self.quantum_w.is_finite() || self.quantum_w <= 0.0 {
+            return Err(format!(
+                "quantum {} must be finite and positive",
+                self.quantum_w
+            ));
         }
         if self.sla_window_rounds == 0 {
             return Err("sla_window_rounds must be positive".into());
         }
-        if self.dead_band_w.is_nan() || self.dead_band_w < 0.0 {
+        if !self.dead_band_w.is_finite() || self.dead_band_w < 0.0 {
             return Err(format!(
                 "dead band {} must be finite and non-negative",
                 self.dead_band_w
@@ -615,6 +621,26 @@ mod tests {
         let mut c = ok;
         c.rounds = 2_000_000;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_caps_quanta_and_bands() {
+        let ok = ServiceConfig::new(
+            vec![ServiceServerSpec::small("s0", "MID1", 1, 1000.0)],
+            100.0,
+            CapSplit::SlaAware,
+        );
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = ok.clone();
+            c.global_cap_w = bad;
+            assert!(c.validate().is_err(), "global cap {bad}");
+            let mut c = ok.clone();
+            c.quantum_w = bad;
+            assert!(c.validate().is_err(), "quantum {bad}");
+            let mut c = ok.clone();
+            c.dead_band_w = bad;
+            assert!(c.validate().is_err(), "dead band {bad}");
+        }
     }
 
     #[test]

@@ -146,6 +146,14 @@ impl TraceGen {
         }
     }
 
+    /// The highest line any synthetic generator on cores `0..cores`
+    /// references: the end of the last core's streaming region. Lines stay
+    /// below 2^36 for up to 16 cores.
+    pub fn highest_line(cores: usize) -> LineAddr {
+        let l = Layout::for_core(cores.saturating_sub(1));
+        LineAddr(l.stream_base + l.stream_lines - 1)
+    }
+
     fn phase_len_of(profile: &AppProfile, idx: usize) -> u64 {
         let w = profile.phases[idx].weight;
         ((profile.phase_cycle_instrs as f64) * w).round().max(1.0) as u64
@@ -257,6 +265,30 @@ mod tests {
             let lb = b.next_op().line.0 >> 32;
             assert_eq!(la, 0);
             assert_eq!(lb, 1);
+        }
+    }
+
+    #[test]
+    fn highest_line_bounds_every_region() {
+        assert_eq!(
+            TraceGen::highest_line(1),
+            LineAddr((1 << 29) + (1 << 24) - 1)
+        );
+        assert!(TraceGen::highest_line(16).0 < 1 << 36);
+        for cores in 1..=16 {
+            let top = TraceGen::highest_line(cores);
+            let l = Layout::for_core(cores - 1);
+            for (base, len) in [
+                (l.hot_base, l.hot_lines),
+                (l.rand_base, l.rand_lines),
+                (l.stream_base, l.stream_lines),
+            ] {
+                assert!(base + len - 1 <= top.0);
+            }
+        }
+        let mut g = TraceGen::new(flat(20.0, 1.0, 1.0), 3, 9);
+        for _ in 0..1000 {
+            assert!(g.next_op().line <= TraceGen::highest_line(4));
         }
     }
 
