@@ -13,6 +13,26 @@ use memsim::MemConfig;
 use powermodel::MemGeometry;
 use simkernel::Ps;
 use std::time::Instant;
+use workloads::MixClass;
+
+/// Worst per-application degradation that Figures 6 and 9 count as meeting
+/// the γ = 10% bound. CoScale enforces γ against its model's estimate of
+/// time at maximum frequencies, settled once per epoch with a bank clamped
+/// at ±4 epochs, not against the measured StaticMax run; model error and
+/// the clamp leave the measured worst case of a bounded policy at 10.0–10.3%
+/// (EXPERIMENTS.md). The 1.5-point margin absorbs that and still flags
+/// Uncoordinated's 14.8%.
+const BOUND_MET_WORST_DEGRADATION: f64 = 0.115;
+
+/// The "bound met" column of Figures 6 and 9.
+fn bound_met(worst: f64) -> String {
+    if worst <= BOUND_MET_WORST_DEGRADATION {
+        "yes"
+    } else {
+        "NO"
+    }
+    .into()
+}
 
 /// Paper Table 1 MPKI/WPKI per mix, for side-by-side comparison.
 const TABLE1_PAPER: [(&str, f64, f64); 16] = [
@@ -50,8 +70,32 @@ fn mid_mixes_for(ctx: &Ctx) -> Vec<&'static str> {
     }
 }
 
+/// Table 1's verdict: every ILP mix's MPKI is below every MID and MIX
+/// mix's, and every MID and MIX mix's is below every MEM mix's.
+///
+/// # Panics
+///
+/// Panics, naming the first out-of-order pair, if the ordering fails.
+pub fn assert_table1_ordering(mpki: &[(&str, MixClass, f64)]) {
+    let band = |class: MixClass| match class {
+        MixClass::Ilp => 0,
+        MixClass::Mid | MixClass::Mix => 1,
+        MixClass::Mem => 2,
+    };
+    for &(low, low_class, low_mpki) in mpki {
+        for &(high, high_class, high_mpki) in mpki {
+            assert!(
+                band(low_class) >= band(high_class) || low_mpki < high_mpki,
+                "Table 1 class ordering fails: {low} MPKI {low_mpki:.2} is not below \
+                 {high} MPKI {high_mpki:.2}"
+            );
+        }
+    }
+}
+
 /// Table 1: workload composition and measured MPKI/WPKI of the synthetic
-/// mixes, vs the paper's trace measurements.
+/// mixes, vs the paper's trace measurements. Asserts the class ordering
+/// ([`assert_table1_ordering`]) after writing the table.
 pub fn table1(ctx: &mut Ctx) {
     let mut t = Table::new(
         "Table 1 — workload mixes: measured vs paper MPKI/WPKI (baseline, max frequencies)",
@@ -65,12 +109,14 @@ pub fn table1(ctx: &mut Ctx) {
             "paper WPKI",
         ],
     );
+    let mut mpki = Vec::new();
     for &(name, p_mpki, p_wpki) in &TABLE1_PAPER {
         if ctx.opts.quick && !mixes_for(ctx).contains(&name) {
             continue;
         }
         let r = ctx.run(name, PolicyKind::StaticMax);
         let m = workloads::mix(name).expect("known mix");
+        mpki.push((name, m.class, r.mpki));
         t.row(vec![
             name.into(),
             m.class.to_string(),
@@ -82,6 +128,7 @@ pub fn table1(ctx: &mut Ctx) {
         ]);
     }
     ctx.emit(&t, "table1.tsv");
+    assert_table1_ordering(&mpki);
 }
 
 /// Figure 5: CoScale energy savings (full system, memory, CPU) per mix.
@@ -137,7 +184,7 @@ pub fn fig6(ctx: &mut Ctx) {
             name.to_string(),
             pct(avg),
             pct(worst),
-            if worst <= 0.115 { "yes" } else { "NO" }.into(),
+            bound_met(worst),
         ]);
     }
     t.row(vec![
@@ -251,7 +298,7 @@ pub fn fig8_9(ctx: &mut Ctx) {
             p.to_string(),
             pct(avg_deg / n),
             pct(worst_deg),
-            if worst_deg <= 0.115 { "yes" } else { "NO" }.into(),
+            bound_met(worst_deg),
         ]);
     }
     t8.row(vec![

@@ -1,8 +1,10 @@
 //! Tests of the experiment-harness utilities.
 
-use bench::{class_mixes, degradation_stats, experiments::synthetic_profile, pct, ALL_MIXES};
+use bench::experiments::{assert_table1_ordering, synthetic_profile};
+use bench::{class_mixes, degradation_stats, pct, ALL_MIXES};
 use coscale::{PolicyKind, RunResult};
 use simkernel::Ps;
+use workloads::MixClass::{Ilp, Mem, Mid, Mix};
 
 #[test]
 fn all_mixes_covers_table1() {
@@ -67,4 +69,28 @@ fn degradation_stats_computes_avg_and_worst() {
     assert!((avg - 0.075).abs() < 1e-9);
     assert!((worst - 0.10).abs() < 1e-9);
     assert!((run.energy_savings_vs(&base) - 0.1).abs() < 1e-9);
+}
+
+#[test]
+fn table1_ordering_accepts_the_quick_mixes() {
+    // MIX may sit above MID, and mixes within a band in any order.
+    assert_table1_ordering(&[
+        ("MEM1", Mem, 15.63),
+        ("MID1", Mid, 2.45),
+        ("ILP1", Ilp, 0.53),
+        ("MIX2", Mix, 2.55),
+        ("MIX3", Mix, 2.40),
+    ]);
+}
+
+#[test]
+#[should_panic(expected = "MIX2 MPKI 16.00 is not below MEM1 MPKI 15.63")]
+fn table1_ordering_rejects_a_mix_above_a_mem_mix() {
+    assert_table1_ordering(&[("MEM1", Mem, 15.63), ("MIX2", Mix, 16.0)]);
+}
+
+#[test]
+#[should_panic(expected = "ILP1 MPKI 2.50 is not below MID1 MPKI 2.45")]
+fn table1_ordering_rejects_an_ilp_mix_above_a_mid_mix() {
+    assert_table1_ordering(&[("MID1", Mid, 2.45), ("ILP1", Ilp, 2.5)]);
 }

@@ -9,7 +9,7 @@ use cpusim::{CoreCounters, CoreOutput, CoreSim, L2Cache, Wake};
 use memsim::{LineAddr, MemCounters, MemEvent, MemorySystem, Outcome};
 use powermodel::{system_power, MemGeometry, SystemPower};
 use simkernel::{EventQueue, Freq, Ps};
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Events flowing through the engine's queue.
@@ -45,8 +45,10 @@ pub struct System {
     mem: MemorySystem,
     queue: EventQueue<Ev>,
     now: Ps,
-    tags: HashMap<u64, ReadInfo>,
-    next_tag: u64,
+    /// In-flight reads, indexed by the tag the memory system carries back;
+    /// `free_tags` lists the empty slots for reuse.
+    tags: Vec<Option<ReadInfo>>,
+    free_tags: Vec<usize>,
     plan: Plan,
     completion: Vec<Option<Ps>>,
     // Reused buffers.
@@ -94,10 +96,8 @@ impl System {
                 )
             })
             .collect();
-        let mut l2 = L2Cache::new(config.cache);
-        for c in &cores {
-            c.warm_l2(&mut l2);
-        }
+        let footprints: Vec<Range<u64>> = cores.iter().map(CoreSim::hot_footprint).collect();
+        let l2 = L2Cache::warmed(config.cache, &footprints);
         let mem = MemorySystem::new(config.mem.clone());
         let mut queue = EventQueue::new();
         for (t, e) in mem.initial_events() {
@@ -116,8 +116,8 @@ impl System {
             mem,
             queue,
             now: Ps::ZERO,
-            tags: HashMap::new(),
-            next_tag: 0,
+            tags: Vec::new(),
+            free_tags: Vec::new(),
             plan,
             core_out: CoreOutput::default(),
             mem_out: Outcome::default(),
@@ -198,19 +198,24 @@ impl System {
     }
 
     fn issue_read(&mut self, core: usize, line: LineAddr, prefetch: bool) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        self.tags.insert(
-            tag,
-            ReadInfo {
-                core,
-                line,
-                prefetch,
-            },
-        );
+        let info = Some(ReadInfo {
+            core,
+            line,
+            prefetch,
+        });
+        let tag = match self.free_tags.pop() {
+            Some(slot) => {
+                self.tags[slot] = info;
+                slot
+            }
+            None => {
+                self.tags.push(info);
+                self.tags.len() - 1
+            }
+        };
         let mut out = std::mem::take(&mut self.mem_out);
         out.clear();
-        self.mem.enqueue_read(self.now, line, tag, &mut out);
+        self.mem.enqueue_read(self.now, line, tag as u64, &mut out);
         self.absorb_mem_out(&mut out);
         self.mem_out = out;
     }
@@ -259,7 +264,13 @@ impl System {
     }
 
     fn finish_read(&mut self, tag: u64) {
-        let info = self.tags.remove(&tag).expect("completion for unknown tag");
+        let slot = tag as usize;
+        let info = self
+            .tags
+            .get_mut(slot)
+            .and_then(Option::take)
+            .expect("completion for unknown tag");
+        self.free_tags.push(slot);
         let mut out = std::mem::take(&mut self.core_out);
         let runnable = if info.prefetch {
             self.cores[info.core].complete_prefetch(self.now, info.line, &mut self.l2, &mut out)

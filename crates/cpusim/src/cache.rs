@@ -2,6 +2,7 @@
 //! next-line-prefetch bookkeeping.
 
 use memsim::LineAddr;
+use std::ops::Range;
 
 /// Shared L2 configuration. Defaults match Table 2: 16 MiB, 16-way, 64-byte
 /// blocks.
@@ -217,6 +218,48 @@ impl L2Cache {
         }
     }
 
+    /// Creates the cache that clean demand fills of every line in
+    /// `footprints`, range by range and each in ascending order, would
+    /// leave: `fill(line, false, false)` for each line in turn.
+    ///
+    /// The image is written directly, one store per resident line. Lines
+    /// are walked latest first and each takes its set's next free way, so
+    /// the ways come out most recent first; once a set is full, its earlier
+    /// lines are the ones LRU would have evicted. Those evictions are clean
+    /// and not prefetched, so they change no statistics, and the statistics
+    /// start at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is inconsistent, if two ranges overlap, or if
+    /// any line lies beyond the tag reach, `2^`[`CacheConfig::line_bits`].
+    pub fn warmed(config: CacheConfig, footprints: &[Range<u64>]) -> Self {
+        for (i, a) in footprints.iter().enumerate() {
+            for b in &footprints[..i] {
+                assert!(
+                    a.is_empty() || b.is_empty() || a.end <= b.start || b.end <= a.start,
+                    "warm footprints {b:?} and {a:?} overlap"
+                );
+            }
+        }
+        let mut cache = L2Cache::new(config);
+        let ways = config.ways;
+        // Ways written so far in each set: its next free way.
+        let mut taken = vec![0u32; config.sets()];
+        for range in footprints.iter().rev() {
+            for line in range.clone().rev().map(LineAddr) {
+                let key = cache.key(line);
+                let set = cache.set_index(line);
+                let way = taken[set] as usize;
+                if way < ways {
+                    cache.ways[set * ways + way] = key;
+                    taken[set] += 1;
+                }
+            }
+        }
+        cache
+    }
+
     /// The configuration used to build this cache.
     pub fn config(&self) -> &CacheConfig {
         &self.config
@@ -266,7 +309,7 @@ impl L2Cache {
     }
 
     #[inline]
-    fn set_range(&self, line: LineAddr) -> (usize, std::ops::Range<usize>) {
+    fn set_range(&self, line: LineAddr) -> (usize, Range<usize>) {
         let set = self.set_index(line);
         let start = set * self.config.ways;
         (set, start..start + self.config.ways)
@@ -557,7 +600,7 @@ mod tests {
         let mut per_set = vec![0usize; c.config().sets()];
         for core in 0..16 {
             let gen = workloads::TraceGen::new(workloads::app("milc"), core, 1);
-            for (i, line) in gen.hot_footprint().enumerate() {
+            for (i, line) in gen.hot_footprint().map(LineAddr).enumerate() {
                 assert_eq!(
                     c.set_index(line),
                     i ^ (core << 4),
@@ -568,6 +611,112 @@ mod tests {
         }
         assert!(per_set[..4096].iter().all(|&n| n == 16));
         assert!(per_set[4096..].iter().all(|&n| n == 0));
+    }
+
+    /// The warm-up [`L2Cache::warmed`] replaces, kept as its reference
+    /// model: one clean demand fill per line, range by range.
+    fn fill_each(config: CacheConfig, footprints: &[Range<u64>]) -> L2Cache {
+        let mut c = L2Cache::new(config);
+        for range in footprints {
+            for line in range.clone() {
+                assert_eq!(c.fill(LineAddr(line), false, false), None);
+            }
+        }
+        c
+    }
+
+    fn assert_same_image(warm: &L2Cache, model: &L2Cache) {
+        assert!(warm.ways == model.ways, "tag images differ");
+        assert_eq!(warm.stats(), model.stats());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The direct warm leaves the tag image and statistics of clean
+        /// fills, for 1 to 16 sets of 1 to 8 ways, disjoint ranges
+        /// (adjacent and empty ones included) in shuffled order, and
+        /// footprints of up to 280 lines, so small caches overflow.
+        #[test]
+        fn warmed_equals_sequential_fills(
+            set_log in 0u32..5,
+            ways in 1usize..9,
+            pieces in prop::collection::vec((0u64..24, 0u64..40), 0..8),
+            base in 0u64..(1 << 24),
+            shuffle in any::<u64>(),
+        ) {
+            let config = CacheConfig {
+                size_bytes: (64 * ways as u64) << set_log,
+                ways,
+                line_bytes: 64,
+            };
+            let mut cursor = base;
+            let mut footprints: Vec<Range<u64>> = pieces
+                .iter()
+                .map(|&(gap, len)| {
+                    let start = cursor + gap;
+                    cursor = start + len;
+                    start..cursor
+                })
+                .collect();
+            let mut r = shuffle;
+            for i in (1..footprints.len()).rev() {
+                r = r.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                footprints.swap(i, (r >> 33) as usize % (i + 1));
+            }
+            let warm = L2Cache::warmed(config, &footprints);
+            let model = fill_each(config, &footprints);
+            prop_assert!(warm.ways == model.ways, "tag images differ for {footprints:?}");
+            prop_assert_eq!(warm.stats(), model.stats());
+        }
+    }
+
+    #[test]
+    fn warmed_keeps_the_latest_lines_of_a_full_set() {
+        // 64 lines over 4 sets of 2 ways: each set keeps its last two.
+        let footprints = [0..40, 100..124];
+        let warm = L2Cache::warmed(tiny().config, &footprints);
+        assert_same_image(&warm, &fill_each(tiny().config, &footprints));
+        let resident = (0..124).filter(|&l| warm.contains(LineAddr(l))).count();
+        assert_eq!(resident, 8);
+        assert!((120..124).all(|l| warm.contains(LineAddr(l))));
+    }
+
+    /// The hot footprints every node warms, one per core, on the paper node
+    /// (16 cores, 16 MiB), the serving node (4 cores, 16 MiB) and the
+    /// scale-fleet node (2 cores, 1 MiB), against the per-core fill loop
+    /// the simulator ran before.
+    #[test]
+    fn warmed_matches_the_per_core_fills_on_node_geometries() {
+        for (cores, size_bytes) in [(16, 16 << 20), (4, 16 << 20), (2, 1 << 20)] {
+            let config = CacheConfig {
+                size_bytes,
+                ..CacheConfig::default()
+            };
+            let footprints: Vec<Range<u64>> = (0..cores)
+                .map(|core| workloads::TraceGen::new(workloads::app("milc"), core, 1))
+                .map(|gen| gen.hot_footprint())
+                .collect();
+            assert_same_image(
+                &L2Cache::warmed(config, &footprints),
+                &fill_each(config, &footprints),
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overlap")]
+    fn overlapping_warm_footprints_are_rejected() {
+        let _ = L2Cache::warmed(tiny().config, &[0..10, 20..30, 10..10, 29..31]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the tag reach of 31 bits")]
+    fn warmed_checks_the_tag_reach_of_every_line() {
+        // The first line walked (the latest) is resident; the out-of-reach
+        // one is walked after its set is full.
+        let top = 1u64 << 31;
+        let _ = L2Cache::warmed(tiny().config, &[top - 4..top + 1, 0..64]);
     }
 
     /// The stamp-based tag store this cache replaced, its logic kept

@@ -6,6 +6,7 @@
 use crate::{Access, CoreCounters, L2Cache};
 use memsim::LineAddr;
 use simkernel::{Freq, Ps};
+use std::ops::Range;
 use workloads::{AppProfile, TraceGen, TraceOp};
 
 /// Pipeline behavior on L2 misses.
@@ -168,13 +169,11 @@ impl CoreSim {
         matches!(self.state, State::WaitMem | State::WaitWindow)
     }
 
-    /// Pre-installs this core's hot footprint into the shared L2, emulating
-    /// the warmup phase the paper's SimPoint traces include. Call once at
-    /// simulation start; filling is clean, so no writebacks result.
-    pub fn warm_l2(&self, l2: &mut L2Cache) {
-        for line in self.gen.hot_footprint() {
-            l2.fill(line, false, false);
-        }
+    /// The line addresses of this core's hot footprint: what
+    /// [`L2Cache::warmed`] pre-installs to emulate the warmup phase the
+    /// paper's SimPoint traces include.
+    pub fn hot_footprint(&self) -> Range<u64> {
+        self.gen.hot_footprint()
     }
 
     fn compute_span(&self, instrs: u64) -> Ps {
@@ -479,21 +478,21 @@ mod tests {
 
     /// Drive a lone core against a trivially fast "memory" that answers
     /// reads after `mem_lat`.
-    fn run_solo(core: &mut CoreSim, l2: &mut L2Cache, mem_lat: Ps, until: Ps) {
-        core.warm_l2(l2);
+    fn run_solo(core: &mut CoreSim, mem_lat: Ps, until: Ps) {
+        let mut l2 = L2Cache::warmed(CacheConfig::default(), &[core.hot_footprint()]);
         let mut now = Ps::ZERO;
         let mut out = CoreOutput::default();
         // (finish_time, line) of in-flight reads.
         let mut inflight: Vec<(Ps, LineAddr)> = Vec::new();
         loop {
             out.clear();
-            let wake = core.advance(now, l2, &mut out);
+            let wake = core.advance(now, &mut l2, &mut out);
             for &line in &out.reads {
                 inflight.push((now + mem_lat, line));
             }
             for &line in &out.prefetches.clone() {
                 let mut o2 = CoreOutput::default();
-                core.complete_prefetch(now, line, l2, &mut o2);
+                core.complete_prefetch(now, line, &mut l2, &mut o2);
             }
             let next = match wake {
                 Wake::At(t) => t,
@@ -514,7 +513,7 @@ mod tests {
                 }
                 inflight.remove(0);
                 let mut o2 = CoreOutput::default();
-                core.complete_read(t, line, l2, &mut o2);
+                core.complete_read(t, line, &mut l2, &mut o2);
             }
         }
     }
@@ -522,8 +521,7 @@ mod tests {
     #[test]
     fn hit_workload_splits_time_between_compute_and_l2() {
         let mut c = core(always_hit_app(), PipelineMode::InOrder, false);
-        let mut cache = l2();
-        run_solo(&mut c, &mut cache, Ps::from_ns(40), Ps::from_us(200));
+        run_solo(&mut c, Ps::from_ns(40), Ps::from_us(200));
         let ctr = c.counters();
         assert!(ctr.tic > 100_000);
         assert_eq!(ctr.tlm, 0, "hot footprint should stay resident");
@@ -537,8 +535,7 @@ mod tests {
     #[test]
     fn miss_workload_stalls_on_memory() {
         let mut c = core(always_miss_app(), PipelineMode::InOrder, false);
-        let mut cache = l2();
-        run_solo(&mut c, &mut cache, Ps::from_ns(40), Ps::from_us(100));
+        run_solo(&mut c, Ps::from_ns(40), Ps::from_us(100));
         let ctr = c.counters();
         assert!(ctr.tlm > 0);
         assert_eq!(ctr.tls, ctr.tlm);
@@ -551,8 +548,7 @@ mod tests {
     fn mlp_window_hides_memory_latency() {
         let run = |mode| {
             let mut c = core(always_miss_app(), mode, false);
-            let mut cache = l2();
-            run_solo(&mut c, &mut cache, Ps::from_ns(100), Ps::from_us(100));
+            run_solo(&mut c, Ps::from_ns(100), Ps::from_us(100));
             let ctr = *c.counters();
             ctr.tic as f64 / (Ps::from_us(100).as_secs_f64() * 4e9) // IPC
         };
@@ -569,8 +565,7 @@ mod tests {
         // Window of 1 behaves like in-order for a miss-every-instruction
         // stream: cannot run more than ~1 op ahead.
         let mut c = core(always_miss_app(), PipelineMode::MlpWindow(1), false);
-        let mut cache = l2();
-        run_solo(&mut c, &mut cache, Ps::from_ns(100), Ps::from_us(50));
+        run_solo(&mut c, Ps::from_ns(100), Ps::from_us(50));
         assert!(c.counters().mem_stall_time > Ps::ZERO);
     }
 
@@ -584,8 +579,7 @@ mod tests {
         );
         let run = |prefetch| {
             let mut c = core(streaming.clone(), PipelineMode::InOrder, prefetch);
-            let mut cache = l2();
-            run_solo(&mut c, &mut cache, Ps::from_ns(60), Ps::from_us(200));
+            run_solo(&mut c, Ps::from_ns(60), Ps::from_us(200));
             let ctr = *c.counters();
             ctr.mpki()
         };
@@ -607,8 +601,7 @@ mod tests {
                 Freq::from_ghz(ghz),
                 CoreConfig::default(),
             );
-            let mut cache = l2();
-            run_solo(&mut c, &mut cache, Ps::from_ns(40), Ps::from_us(100));
+            run_solo(&mut c, Ps::from_ns(40), Ps::from_us(100));
             let ctr = *c.counters();
             (ctr.tic, ctr.tpi_l2())
         };
@@ -656,10 +649,8 @@ mod tests {
     fn determinism_across_clones() {
         let mut a = core(always_miss_app(), PipelineMode::MlpWindow(128), true);
         let mut b = a.clone();
-        let mut ca = l2();
-        let mut cb = l2();
-        run_solo(&mut a, &mut ca, Ps::from_ns(50), Ps::from_us(50));
-        run_solo(&mut b, &mut cb, Ps::from_ns(50), Ps::from_us(50));
+        run_solo(&mut a, Ps::from_ns(50), Ps::from_us(50));
+        run_solo(&mut b, Ps::from_ns(50), Ps::from_us(50));
         assert_eq!(a.counters(), b.counters());
     }
 }

@@ -82,8 +82,7 @@ proptest! {
             PhaseProfile::uniform(25.0, miss_frac, 0.3, 0.3),
         );
         let mut core = CoreSim::new(0, profile, seed, Freq::from_ghz(3.0), CoreConfig::default());
-        let mut l2 = L2Cache::new(CacheConfig::default());
-        core.warm_l2(&mut l2);
+        let mut l2 = L2Cache::warmed(CacheConfig::default(), &[core.hot_footprint()]);
         let mut out = CoreOutput::default();
         let mut now = Ps::ZERO;
         let mut inflight: Vec<(Ps, LineAddr)> = Vec::new();
@@ -132,8 +131,7 @@ proptest! {
                 pipeline: mode,
                 ..CoreConfig::default()
             });
-            let mut l2 = L2Cache::new(CacheConfig::default());
-            core.warm_l2(&mut l2);
+            let mut l2 = L2Cache::warmed(CacheConfig::default(), &[core.hot_footprint()]);
             let mut out = CoreOutput::default();
             let mut now = Ps::ZERO;
             let deadline = Ps::from_us(50);
